@@ -19,6 +19,15 @@ Routes
 ``GET  /metrics``                     Prometheus text exposition
 ====================================  =================================
 
+Transport: connections are kept alive and every accepted socket has
+``TCP_NODELAY`` set.  A response leaves as two writes (headers, then
+body) and an SSE frame as one small write; with Nagle's algorithm on, a
+small write waits while an earlier one is unacknowledged, and the client
+delays its ACK (40 ms minimum on Linux).  A request body the handler
+refuses (missing, unparseable or oversized ``Content-Length``) is left
+unread, so that answer closes the connection rather than parse the
+leftover bytes as the next request.
+
 SSE framing: each bus event becomes ``event: <type>`` / ``id: <seq>`` /
 ``data: <json>`` blocks; ``: ping`` comments keep idle connections alive.
 Streams accept ``?limit=N`` (close after N bus events) and ``?idle=S``
@@ -49,6 +58,8 @@ __all__ = ["ServeHTTPServer", "make_server"]
 _POLL_S = 0.25
 #: seconds between ``: ping`` comments on an otherwise idle stream.
 _HEARTBEAT_S = 5.0
+#: largest ``POST`` body read; a bigger one is answered 413 unread.
+_MAX_BODY_BYTES = 1 << 20
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -71,6 +82,8 @@ def make_server(
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # StreamRequestHandler.setup() sets TCP_NODELAY on each connection
+    disable_nagle_algorithm = True
     # quiet: one log line per request is noise under SSE + polling tests
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -82,11 +95,13 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -98,20 +113,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._send_json({"error": message}, status=status)
+    def _error(self, status: int, message: str, close: bool = False) -> None:
+        self._send_json({"error": message}, status=status, close=close)
 
-    def _read_body(self) -> Optional[dict]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None once a refusal has been sent.
+
+        A refused body stays unread, so the refusal closes the connection.
+        """
+        raw = self.headers.get("Content-Length", "").strip()
+        length = int(raw) if raw.isascii() and raw.isdigit() else 0
+        if length > _MAX_BODY_BYTES:
+            self._error(413, f"body exceeds {_MAX_BODY_BYTES} bytes", close=True)
             return None
-        if length <= 0 or length > 1 << 20:
+        if length == 0:
+            self._error(400, "POST needs a JSON body with a Content-Length", close=True)
             return None
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
+        return self.rfile.read(length)
 
     # ------------------------------------------------------------------
     # Routing
@@ -163,9 +181,13 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         try:
             if parts == ["jobs"]:
-                spec = self._read_body()
-                if spec is None:
-                    self._error(400, "body must be a JSON object job spec")
+                body = self._read_body()
+                if body is None:
+                    return
+                try:
+                    spec = json.loads(body)
+                except ValueError as exc:
+                    self._error(400, f"body is not JSON: {exc}")
                     return
                 try:
                     job, created = self.service.submit(spec)
@@ -177,7 +199,8 @@ class _Handler(BaseHTTPRequestHandler):
                     status=201 if created else 200,
                 )
             else:
-                self._error(404, f"unknown path {url.path!r}")
+                # the body is unread: close rather than parse it as a request
+                self._error(404, f"unknown path {url.path!r}", close=True)
         except (BrokenPipeError, ConnectionResetError):
             pass
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -53,24 +54,57 @@ _DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 SERVABLE_KINDS = ("replay", "fault", "hotspot", "pattern")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(spec: dict, name: str, default: int) -> int:
+    value = spec.get(name, default)
+    if not _is_int(value):
+        raise ValueError(f"{name!r} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _float_field(spec: dict, name: str, default: float) -> float:
+    value = spec.get(name, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name!r} must be a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _as_params(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name!r} must be an object, got {reprlib.repr(value)}")
+    return dict(value)
+
+
 def _parse_seeds(raw) -> list[int]:
-    """``4`` -> ``[0, 1, 2, 3]``; a list passes through as ints."""
-    if isinstance(raw, bool):
-        raise ValueError("seeds must be an int or a list of ints")
-    if isinstance(raw, int):
+    """``4`` -> ``[0, 1, 2, 3]``; a list passes through."""
+    if _is_int(raw):
         if raw < 1:
             raise ValueError("seed count must be >= 1")
         return list(range(raw))
-    if isinstance(raw, (list, tuple)):
-        return [int(seed) for seed in raw]
-    raise ValueError("seeds must be an int or a list of ints")
+    if isinstance(raw, (list, tuple)) and all(_is_int(seed) for seed in raw):
+        return list(raw)
+    raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
+
+
+def _parse_policies(raw) -> list[str]:
+    """A non-empty list of policy names (a bare string is refused)."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(p, str) for p in raw):
+        raise ValueError(
+            f"'policies' must be a list of policy names, got {reprlib.repr(raw)}"
+        )
+    if not raw:
+        raise ValueError("'policies' must be non-empty")
+    return list(raw)
 
 
 def expand_grid(spec: dict) -> list[SimTask]:
     """Expand a job spec into its :class:`SimTask` cells.
 
-    Raises ``ValueError`` for anything malformed — the HTTP layer turns
-    that into a 400 so bad specs never reach the queue.
+    Raises ``ValueError`` naming the field for anything malformed — the
+    HTTP layer turns that into a 400 so bad specs never reach the queue.
     """
     if not isinstance(spec, dict):
         raise ValueError("job spec must be a JSON object")
@@ -92,7 +126,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
             tasks.append(
                 SimTask(
                     kind=kind,
-                    params=dict(raw.get("params", {})),
+                    params=_as_params(raw.get("params", {}), f"tasks[{index}].params"),
                     label=str(raw.get("label", "")),
                 )
             )
@@ -101,11 +135,12 @@ def expand_grid(spec: dict) -> list[SimTask]:
     kind = str(spec.get("kind", "replay"))
     if kind not in SERVABLE_KINDS:
         raise ValueError(f"kind {kind!r} not servable; allowed: {list(SERVABLE_KINDS)}")
-    policies = [str(p) for p in spec.get("policies", _DEFAULT_POLICIES)]
-    if not policies:
-        raise ValueError("'policies' must be non-empty")
+    policies = _parse_policies(spec.get("policies", _DEFAULT_POLICIES))
     seeds = _parse_seeds(spec.get("seeds", 1))
-    extra = dict(spec.get("params", {}))
+    extra = _as_params(spec.get("params", {}), "params")
+    mesh_side = _int_field(spec, "mesh_side", 4)
+    repetitions = _int_field(spec, "repetitions", 3)
+    ack_loss = _float_field(spec, "ack_loss", 0.1)
 
     tasks = []
     for policy in policies:
@@ -115,8 +150,8 @@ def expand_grid(spec: dict) -> list[SimTask]:
                     **extra,
                     "policy": policy,
                     "seed": seed,
-                    "mesh_side": int(spec.get("mesh_side", 4)),
-                    "repetitions": int(spec.get("repetitions", 3)),
+                    "mesh_side": mesh_side,
+                    "repetitions": repetitions,
                 }
             elif kind == "fault":
                 params = {
@@ -124,9 +159,9 @@ def expand_grid(spec: dict) -> list[SimTask]:
                     "spec": {
                         **extra,
                         "seed": seed,
-                        "mesh_side": int(spec.get("mesh_side", 4)),
-                        "repetitions": int(spec.get("repetitions", 3)),
-                        "ack_loss": float(spec.get("ack_loss", 0.1)),
+                        "mesh_side": mesh_side,
+                        "repetitions": repetitions,
+                        "ack_loss": ack_loss,
                     },
                 }
             else:  # hotspot / pattern need their workload knobs in params

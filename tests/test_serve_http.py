@@ -5,11 +5,15 @@ a handful of mesh:4 cells).  Everything talks to it over loopback HTTP
 exactly like an external client would.
 """
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -178,6 +182,53 @@ class TestEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(base, "/definitely/not/a/route")
         assert err.value.code == 404
+        # a wrongly typed field is a 400 naming it, not a dropped connection
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/jobs", {"policies": 5})
+        assert err.value.code == 400
+        assert "policies" in json.loads(err.value.read())["error"]
+
+    @pytest.mark.parametrize(
+        "path, length_header, status",
+        [("/jobs", "Content-Length: abc\r\n", 400), ("/jobs", "", 400),
+         ("/jobs", f"Content-Length: {2 << 20}\r\n", 413),
+         ("/nowhere", "Content-Length: 2\r\n", 404)],
+        ids=["unparseable", "missing", "over-cap", "unknown-path"],
+    )
+    def test_rejected_body_closes_connection(self, server, path, length_header, status):
+        # The refused body is never read, so whatever follows it must not
+        # be parsed as a second request: one answer, then EOF.
+        base, _service = server
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: x\r\n{length_header}\r\n"
+            "GET /definitely/unknown HTTP/1.1\r\nHost: x\r\n\r\n"
+        ).encode("ascii")
+        address = ("127.0.0.1", urlparse(base).port)
+        received = b""
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+        assert b"Connection: close" in received
+
+    def test_kept_alive_requests_do_not_stall(self, server):
+        # Headers and body leave in separate writes; with Nagle's algorithm
+        # on, the body waits out the client's 40 ms delayed ACK.
+        base, _service = server
+        conn = http.client.HTTPConnection("127.0.0.1", urlparse(base).port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()  # repro: allow(no-wall-clock)
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read()) == {"ok": True}
+                round_trips.append(time.perf_counter() - start)  # repro: allow(no-wall-clock)
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.010
 
     def test_journal_survives_restart(self, server, tmp_path):
         # A fresh service over the same journal sees completed jobs.

@@ -61,6 +61,20 @@ class TestExpandGrid:
             expand_grid({"kind": "replay", "policies": []})
         with pytest.raises(ValueError):
             expand_grid({"kind": "replay", "seeds": 0})
+        # wrong JSON types: a ValueError naming the field, never a TypeError
+        for spec, field in [
+            ({"policies": 5}, "policies"),
+            ({"policies": "drb"}, "policies"),
+            ({"params": 5}, "params"),
+            ({"params": [1]}, "params"),
+            ({"mesh_side": None}, "mesh_side"),
+            ({"seeds": [None]}, "seeds"),
+            ({"repetitions": [1]}, "repetitions"),
+            ({"kind": "fault", "ack_loss": None}, "ack_loss"),
+            ({"tasks": [{"kind": "replay", "params": 5}]}, r"tasks\[0\]\.params"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                expand_grid(spec)
 
 
 class TestGridKey:
