@@ -4,7 +4,7 @@ Where :mod:`repro.analysis.lint` checks one file at a time, the contract
 passes here reason over a shared :class:`~repro.analysis.contracts.graph.
 ModuleGraph` — every module under the analyzed roots parsed once, with a
 symbol table of classes (slots, fields, bases), functions (signatures),
-and imports.  Seven passes enforce the contracts the reproduction's
+and imports.  Six passes enforce the contracts the reproduction's
 bit-stability rests on:
 
 ``digest-purity``
@@ -25,9 +25,6 @@ bit-stability rests on:
 ``snapshot-coverage``
     Every attribute a ``Snapshottable`` class introduces is declared in
     ``_snapshot_fields_``/``_snapshot_exclude_`` (docs/checkpoint.md).
-``shard-safety``
-    Cross-shard handoff payload types must be Snapshottable-declared and
-    no lambda may cross a shard process boundary (docs/sharding.md).
 
 Findings share the lint reporting stack (:mod:`repro.analysis.reporting`):
 ``# repro: allow(<rule>)`` pragmas, ratchet baselines, text/JSON/SARIF.
@@ -42,7 +39,6 @@ from typing import Optional, Sequence
 from repro.analysis.contracts.callbacks import SchedulerCallbackPass
 from repro.analysis.contracts.graph import ModuleGraph
 from repro.analysis.contracts.purity import DigestPurityPass
-from repro.analysis.contracts.shardsafe import ShardSafetyPass
 from repro.analysis.contracts.slots import SlotsConsistencyPass
 from repro.analysis.contracts.snapshots import SnapshotCoveragePass
 from repro.analysis.contracts.spawnsafe import SpawnSafetyPass
@@ -76,7 +72,6 @@ PASS_CATALOGUE: dict[str, str] = {
     SchedulerCallbackPass.name: SchedulerCallbackPass.summary,
     FrozenStatsKeysPass.name: FrozenStatsKeysPass.summary,
     SnapshotCoveragePass.name: SnapshotCoveragePass.summary,
-    ShardSafetyPass.name: ShardSafetyPass.summary,
 }
 
 
@@ -101,7 +96,6 @@ def _build_passes(
         SchedulerCallbackPass.name: lambda: SchedulerCallbackPass(),
         FrozenStatsKeysPass.name: lambda: FrozenStatsKeysPass(manifest_path),
         SnapshotCoveragePass.name: lambda: SnapshotCoveragePass(),
-        ShardSafetyPass.name: lambda: ShardSafetyPass(),
     }
     selected = list(names) if names else list(PASS_CATALOGUE)
     unknown = [n for n in selected if n not in registry]

@@ -266,11 +266,7 @@ def build_scenario(
     sim = Simulator()
     trace = EventTraceDigest().install(sim)
     recorder = StatsRecorder(window_s=2.5e-5)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        # Policies without a random component (e.g. deterministic).
-        policy_obj = make_policy(policy)
+    policy_obj = make_policy(policy, rng=streams.stream("routing"))
     fabric = Fabric(
         Mesh2D(mesh_side),
         NetworkConfig(),

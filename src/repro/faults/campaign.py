@@ -229,10 +229,7 @@ def build_fault_scenario(
     sim = Simulator()
     trace = EventTraceDigest().install(sim)
     recorder = StatsRecorder(window_s=2.5e-5)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        policy_obj = make_policy(policy)
+    policy_obj = make_policy(policy, rng=streams.stream("routing"))
     fabric = Fabric(
         Mesh2D(spec.mesh_side),
         NetworkConfig(),

@@ -312,18 +312,7 @@ class Fabric(Snapshottable):
                 if not self.degraded_links
                 else self.link_delay(path[hop], next_router)
             )
-            self._schedule_hop(depart + delay, packet)
-
-    def _schedule_hop(self, time: float, packet: Packet) -> None:
-        """Schedule ``packet``'s arrival at its next router.
-
-        The single seam between serial and sharded execution:
-        ``repro.shard.ShardFabric`` overrides this to divert arrivals
-        whose next router lives on another shard into the cross-process
-        handoff outbox (docs/sharding.md).  ``packet.hop`` already
-        indexes the next router when this is called.
-        """
-        self._schedule_at(time, self._arrive, packet)
+            self._schedule_at(depart + delay, self._arrive, packet)
 
     def _crossed_link_alive(self, packet: Packet) -> bool:
         """Is the link this packet just traversed still up on arrival?"""

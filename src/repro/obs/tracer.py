@@ -198,9 +198,9 @@ def read_trace(path) -> tuple[dict, list[TraceRecord]]:
 
     Accepts headerless files (header defaults to an empty dict) so the
     reader also works on hand-built fixtures.  Duplicate header lines —
-    the artifact of naive file concatenation, which trace merging must
-    survive — are skipped: the first header wins, later ones are neither
-    records nor errors.
+    what concatenating trace files (``cat a.jsonl b.jsonl``) leaves
+    mid-file — are skipped: the first header wins, later ones are
+    neither records nor errors.
     """
     header: dict = {}
     records: list[TraceRecord] = []

@@ -174,10 +174,7 @@ def run_pinned_dragonfly_workload(
     streams = RandomStreams(seed)
     sim = Simulator()
     trace = EventTraceDigest().install(sim)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        policy_obj = make_policy(policy)
+    policy_obj = make_policy(policy, rng=streams.stream("routing"))
     fabric = Fabric(
         make_topology("dragonfly:4,2,2"),
         NetworkConfig(),

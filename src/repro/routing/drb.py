@@ -23,7 +23,7 @@ from repro.core.selection import select_msp
 from repro.core.thresholds import Thresholds, Zone
 from repro.network.packet import DATA, ContendingFlow, Packet
 from repro.routing.base import RoutingPolicy
-from repro.sim.rng import named_generator, seeded_generator
+from repro.sim.rng import seeded_generator
 from repro.topology.base import Path
 
 
@@ -56,12 +56,6 @@ class DRBConfig:
     shrink_max_utilization: float = 0.5
     #: RNG seed for the Eq. 3.6 path draw.
     seed: int = 0
-    #: draw each flow's Eq. 3.6 selection from a per-flow stream derived
-    #: from ``(seed, "msp:src:dst")`` instead of one shared generator.
-    #: Off by default (the historical digests consume the shared stream);
-    #: sharded runs require it — a shared stream's draw order would
-    #: interleave across shards (docs/sharding.md).
-    flow_seeded: bool = False
 
 
 class FlowState(Snapshottable):
@@ -82,7 +76,6 @@ class FlowState(Snapshottable):
         "pending_high_entry",
         "offered_bps",
         "high_entry_time",
-        "rng",
     )
 
     __slots__ = (
@@ -100,17 +93,9 @@ class FlowState(Snapshottable):
         "pending_high_entry",
         "offered_bps",
         "high_entry_time",
-        "rng",
     )
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        metapath: Metapath,
-        thresholds: Thresholds,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, src: int, dst: int, metapath: Metapath, thresholds: Thresholds):
         self.src = src
         self.dst = dst
         self.metapath = metapath
@@ -132,9 +117,6 @@ class FlowState(Snapshottable):
         self.offered_bps = 0.0
         #: time the current congestion (H) episode started; -1 when none.
         self.high_entry_time = -1.0
-        #: per-flow Eq. 3.6 draw stream (``DRBConfig.flow_seeded``); None
-        #: means the policy's shared generator is used.
-        self.rng = rng
 
 
 class DRBPolicy(RoutingPolicy):
@@ -190,12 +172,7 @@ class DRBPolicy(RoutingPolicy):
                 low_factor=self.config.low_factor,
                 high_factor=self.config.high_factor,
             )
-            rng = (
-                named_generator(self.config.seed, f"msp:{src}:{dst}")
-                if self.config.flow_seeded
-                else None
-            )
-            fs = FlowState(src, dst, metapath, thresholds, rng=rng)
+            fs = FlowState(src, dst, metapath, thresholds)
             self.flows[key] = fs
         return fs
 
@@ -213,7 +190,7 @@ class DRBPolicy(RoutingPolicy):
             rate = size_bytes * 8 / gap
             fs.offered_bps = 0.7 * fs.offered_bps + 0.3 * rate
         fs.last_send_time = now
-        idx = select_msp(fs.metapath, fs.rng if fs.rng is not None else self._rng)
+        idx = select_msp(fs.metapath, self._rng)
         if self.fabric.failed_links:
             idx = self._route_around_faults(fs, idx)
         if self.tracer is not None:

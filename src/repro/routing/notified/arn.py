@@ -26,7 +26,7 @@ from repro.checkpoint.state import Snapshottable
 from repro.core.thresholds import Zone
 from repro.network.packet import ContendingFlow, Packet
 from repro.routing.base import RoutingPolicy
-from repro.sim.rng import named_generator, seeded_generator
+from repro.sim.rng import seeded_generator
 from repro.topology.base import Path
 
 
@@ -44,11 +44,6 @@ class NotifiedConfig:
     hold_s: float = 200e-6
     #: RNG seed for the Valiant detour draw.
     seed: int = 0
-    #: draw each (src, dst) pair's Valiant detour from a per-flow stream
-    #: derived from ``(seed, "valiant:src:dst")`` instead of one shared
-    #: generator.  Required for sharded runs, where a shared stream's
-    #: draw order would interleave across shards (docs/sharding.md).
-    flow_seeded: bool = False
 
 
 class PairZoneState(Snapshottable):
@@ -79,7 +74,6 @@ class NotifiedAdaptivePolicy(RoutingPolicy):
     _snapshot_fields_: ClassVar[tuple[str, ...]] = (
         "config",
         "_rng",
-        "_flow_rngs",
         "pairs",
         "_candidates",
         "escalations",
@@ -97,8 +91,6 @@ class NotifiedAdaptivePolicy(RoutingPolicy):
         super().__init__()
         self.config = config or NotifiedConfig()
         self._rng = rng if rng is not None else seeded_generator(self.config.seed)
-        #: (src, dst) -> per-flow Valiant stream (``flow_seeded`` mode).
-        self._flow_rngs: dict[tuple[int, int], np.random.Generator] = {}
         #: (src zone, dst zone) -> escalation state.
         self.pairs: dict[tuple[int, int], PairZoneState] = {}
         self._candidates: dict[tuple[int, int], list[Path]] = {}
@@ -127,16 +119,6 @@ class NotifiedAdaptivePolicy(RoutingPolicy):
         if st is None:
             st = self.pairs[key] = PairZoneState()
         return st
-
-    def _flow_rng(self, src: int, dst: int) -> np.random.Generator:
-        """The Valiant draw stream: shared, or per-flow when flow-seeded."""
-        if not self.config.flow_seeded:
-            return self._rng
-        rng = self._flow_rngs.get((src, dst))
-        if rng is None:
-            rng = named_generator(self.config.seed, f"valiant:{src}:{dst}")
-            self._flow_rngs[(src, dst)] = rng
-        return rng
 
     def _paths(self, src: int, dst: int) -> list[Path]:
         key = (src, dst)
@@ -171,7 +153,7 @@ class NotifiedAdaptivePolicy(RoutingPolicy):
                 )
         paths = self._paths(src, dst)
         if st.escalated and len(paths) > 1:
-            idx = 1 + int(self._flow_rng(src, dst).integers(len(paths) - 1))
+            idx = 1 + int(self._rng.integers(len(paths) - 1))
             self.valiant_routed += 1
         else:
             idx = 0

@@ -16,6 +16,7 @@ over spec-string arguments, so harness overrides stay possible.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from typing import Callable
 
 from repro.routing.base import RoutingPolicy
@@ -33,6 +34,10 @@ __all__ = [
 #: afterwards.
 _REGISTRY: dict[str, Callable[..., RoutingPolicy]] = {}
 
+#: registered factories that take no ``rng``; :func:`make_policy` drops
+#: an ``rng`` argument for these and passes it to every other factory.
+_NO_RNG: set[Callable[..., RoutingPolicy]] = set()
+
 
 def register(
     name: str,
@@ -44,7 +49,8 @@ def register(
 
     Names are case-insensitive.  Re-registering a taken name raises —
     two policies silently shadowing each other would make spec strings
-    ambiguous across import orders.
+    ambiguous across import orders.  ``factory`` takes an ``rng`` if
+    its signature has an ``rng`` parameter or ``**kwargs``.
     """
     for key in (name, *aliases):
         key = key.strip().lower()
@@ -54,6 +60,9 @@ def register(
         if existing is not None and existing is not factory:
             raise ValueError(f"routing policy {key!r} is already registered")
         _REGISTRY[key] = factory
+    params = inspect.signature(factory).parameters.values()
+    if not any(p.name == "rng" or p.kind is p.VAR_KEYWORD for p in params):
+        _NO_RNG.add(factory)
 
 
 def registered_policies() -> tuple[str, ...]:
@@ -132,7 +141,9 @@ def make_policy(name: str, **kwargs) -> RoutingPolicy:
     Recognized names: ``deterministic``, ``random``, ``cyclic``,
     ``adaptive``, ``adaptive-hop``, ``drb``, ``pr-drb``, ``fr-drb``,
     ``pr-fr-drb``, ``notified-adaptive``, ``ugal`` (plus aliases; see
-    :func:`registered_policies`).
+    :func:`registered_policies`).  An ``rng`` keyword reaches only
+    factories that take one, so seeded callers can always pass their
+    routing stream; any other error from the factory propagates.
     """
     spec_name, spec_kwargs = parse_policy_spec(name)
     factory = _REGISTRY.get(spec_name)
@@ -142,4 +153,6 @@ def make_policy(name: str, **kwargs) -> RoutingPolicy:
             f"{', '.join(registered_policies())}"
         )
     merged = {**spec_kwargs, **kwargs}
+    if factory in _NO_RNG:
+        merged.pop("rng", None)
     return factory(**merged)

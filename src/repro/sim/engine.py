@@ -447,56 +447,6 @@ class Simulator(Snapshottable):
             self._events_executed += executed - flushed
         return executed
 
-    def run_until(self, bound: float, max_events: Optional[int] = None) -> int:
-        """Execute every event with ``time < bound`` (strict lower bound).
-
-        The windowed counterpart of :meth:`run` for conservative parallel
-        synchronization (docs/sharding.md): a shard that has exchanged
-        lookahead guarantees may safely execute all events *strictly
-        before* the agreed bound, but must not touch the bound itself —
-        an arrival at exactly ``bound`` may still be delivered by a peer.
-        Unlike :meth:`run`, the clock is **not** advanced to ``bound``
-        when the queue drains or the head passes it: ``now`` stays at the
-        last executed event so a later cross-shard arrival at
-        ``bound <= t`` can still be scheduled without tripping the
-        past-time guard.  Returns the number of events executed.
-        """
-        executed = 0
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        free = self._free
-        pop = heapq.heappop
-        limit = math.inf if max_events is None else max_events
-        try:
-            while queue:
-                if self._stopped or executed >= limit:
-                    break
-                event = queue[0]
-                if event[_TIME] >= bound:
-                    break
-                pop(queue)
-                if event[_CANCELLED]:
-                    event[_FN] = _never
-                    event[_ARGS] = ()
-                    free.append(event)
-                    continue
-                self.now = event[_TIME]
-                hook = self._dispatch
-                if hook is not None:
-                    hook(event)
-                fn = event[_FN]
-                args = event[_ARGS]
-                fn(*args)
-                executed += 1
-                event[_FN] = _never
-                event[_ARGS] = ()
-                free.append(event)
-        finally:
-            self._running = False
-            self._events_executed += executed
-        return executed
-
     def step(self) -> bool:
         """Execute exactly one (non-cancelled) event; return False if empty.
 

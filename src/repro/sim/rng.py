@@ -57,18 +57,6 @@ def seeded_generator(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def named_generator(seed: int, name: str) -> np.random.Generator:
-    """A standalone generator derived exactly like ``RandomStreams.stream``.
-
-    Used by the ``flow_seeded`` routing-policy mode (docs/sharding.md):
-    per-flow draw streams derived from ``(policy seed, stream name)``
-    must not depend on *which* ``RandomStreams`` instance exists in the
-    process, so sharded and serial runs derive identical streams.
-    """
-    seq = np.random.SeedSequence(int(seed), spawn_key=(stable_hash(name),))
-    return np.random.default_rng(seq)
-
-
 def stable_hash(name: str) -> int:
     """Deterministic 32-bit FNV-1a hash of a string.
 

@@ -8,7 +8,6 @@ hosts the notified-adaptive policy family (arXiv:2502.00616).
 
 from repro.topology.base import Topology
 from repro.topology.mesh import Mesh2D, Torus2D
-from repro.topology.partition import PartitionError, PartitionPlan, partition_topology
 from repro.topology.fattree import KaryNTree
 from repro.topology.hypercube import Hypercube
 from repro.topology.karycube import KaryNCube
@@ -24,7 +23,4 @@ __all__ = [
     "KaryNCube",
     "SlimmedKaryNTree",
     "Dragonfly",
-    "PartitionError",
-    "PartitionPlan",
-    "partition_topology",
 ]

@@ -96,6 +96,47 @@ class TestJsonl:
         )
 
 
+class TestReadTrace:
+    @staticmethod
+    def _write(path, names, label=""):
+        sink = JsonlSink(path, label=label)
+        for i, name in enumerate(names):
+            sink.write(TraceRecord(i * 1e-6, name, ("flow", "0-1")))
+        sink.close()
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        assert read_trace(path) == ({}, [])
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.jsonl"
+        self._write(path, [], label="idle")
+        header, records = read_trace(path)
+        assert header["label"] == "idle"
+        assert records == []
+
+    def test_duplicate_header_mid_file_first_wins(self, tmp_path):
+        # Concatenating two trace files leaves a second header mid-file.
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        self._write(a, ["packet.inject"], label="first")
+        self._write(b, ["packet.deliver"], label="second")
+        joined = tmp_path / "joined.jsonl"
+        joined.write_bytes(a.read_bytes() + b.read_bytes())
+        header, records = read_trace(joined)
+        assert header["label"] == "first"
+        assert [r.name for r in records] == ["packet.inject", "packet.deliver"]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self._write(path, ["packet.inject"])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n  \n\n")
+        _header, records = read_trace(path)
+        assert [r.name for r in records] == ["packet.inject"]
+
+
 class TestPerfetto:
     def _records(self):
         return [

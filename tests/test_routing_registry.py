@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.replay import run_scenario
 from repro.routing import (
     DRBPolicy,
     DeterministicPolicy,
@@ -15,7 +16,7 @@ from repro.routing import (
     registered_policies,
 )
 from repro.routing.drb import DRBConfig
-from repro.routing.registry import config_factory
+from repro.routing.registry import _REGISTRY, config_factory
 
 
 def test_builtin_family_is_registered():
@@ -117,3 +118,18 @@ def test_registered_custom_factory_is_reachable():
     policy = make_policy("test-custom-probe:knob=7")
     assert isinstance(policy, DeterministicPolicy)
     assert calls == [{"knob": 7}]
+
+
+def test_factory_type_error_is_not_swallowed(monkeypatch):
+    def rejects_rng(rng=None, **kwargs):
+        if rng is not None:
+            raise TypeError("factory rejects its rng")
+        return DeterministicPolicy()
+
+    monkeypatch.setitem(_REGISTRY, "test-rejects-rng", rejects_rng)
+    # A seeded run passes its routing stream; the factory's TypeError must
+    # surface, not fall back to an unseeded retry.
+    with pytest.raises(TypeError, match="rejects its rng"):
+        run_scenario(policy="test-rejects-rng", repetitions=1)
+    # Factories without an ``rng`` parameter never see one.
+    assert isinstance(make_policy("deterministic", rng=object()), DeterministicPolicy)

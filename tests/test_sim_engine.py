@@ -109,12 +109,16 @@ def test_events_scheduled_during_run_execute():
 
 
 def test_max_events_budget():
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(float(i), lambda: None)
-    executed = sim.run(max_events=3)
-    assert executed == 3
-    assert sim.pending == 7
+    # A cancelled head is skipped and does not count toward the budget.
+    for cancel_head in (False, True):
+        sim = Simulator()
+        events = [sim.schedule(float(i), lambda: None) for i in range(10)]
+        if cancel_head:
+            events[0].cancel()
+        executed = sim.run(max_events=3)
+        assert executed == 3
+        assert sim.events_executed == 3
+        assert sim.pending == (6 if cancel_head else 7)
 
 
 def test_step_executes_single_event():
@@ -297,6 +301,36 @@ def test_step_skips_cancelled_without_counting():
     assert sim.step() is False
 
 
+def test_cancel_after_execution_is_harmless_to_freelist_reuse():
+    # The handle of an executed event, or of a cancelled placeholder run()
+    # already recycled, points at a freelisted entry; cancelling it (again)
+    # must not poison whichever event next recycles that entry.
+    for cancel_first in (False, True):
+        sim = Simulator()
+        fired = []
+        ev = sim.schedule(1.0, fired.append, "first")
+        if cancel_first:
+            ev.cancel()
+        sim.run()
+        ev.cancel()
+        sim.schedule(1.0, fired.append, "second")
+        sim.run()
+        assert fired == (["second"] if cancel_first else ["first", "second"])
+
+
+def test_peek_time_recycled_entries_are_reusable():
+    sim = Simulator()
+    a = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    a.cancel()
+    assert sim.peek_time() == 2.0  # compacts: `a`'s entry is freelisted
+    fired = []
+    sim.schedule(0.5, fired.append, "fresh")  # reuses the freelist entry
+    assert sim.peek_time() == 0.5
+    sim.run()
+    assert fired == ["fresh"]
+
+
 # ----------------------------------------------------------------------
 # Observers (multi-observer dispatch + legacy event_hook property)
 # ----------------------------------------------------------------------
@@ -384,109 +418,3 @@ def test_step_dispatches_observers():
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert seen == [1.0]
-
-
-# ----------------------------------------------------------------------
-# Windowed execution (run_until) — the shard barrier-window primitive
-# ----------------------------------------------------------------------
-def test_run_until_bound_is_strict():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(1.0, fired.append, "in")
-    sim.schedule_at(2.0, fired.append, "at-bound")
-    executed = sim.run_until(2.0)
-    assert executed == 1
-    assert fired == ["in"]
-    # The bound event is still pending: a peer may deliver at exactly 2.0.
-    assert sim.peek_time() == 2.0
-
-
-def test_run_until_does_not_advance_clock_to_bound():
-    sim = Simulator()
-    sim.schedule_at(1.0, lambda: None)
-    sim.schedule_at(9.0, lambda: None)
-    sim.run_until(5.0)
-    # Unlike run(until=...), the clock stays at the last executed event
-    # so a cross-shard arrival inside [now, bound] is still schedulable.
-    assert sim.now == 1.0
-    sim.schedule_at(3.0, lambda: None)  # would raise if now were 5.0
-    assert sim.peek_time() == 3.0
-
-
-def test_run_until_empty_heap_is_a_noop():
-    sim = Simulator()
-    assert sim.run_until(10.0) == 0
-    assert sim.now == 0.0
-    assert sim.peek_time() is None
-
-
-def test_run_until_skips_cancelled_head_without_counting():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule_at(1.0, fired.append, "dead")
-    sim.schedule_at(2.0, fired.append, "live")
-    ev.cancel()
-    executed = sim.run_until(3.0)
-    assert executed == 1
-    assert fired == ["live"]
-    assert sim.events_executed == 1
-
-
-def test_run_until_respects_max_events():
-    sim = Simulator()
-    for i in range(5):
-        sim.schedule_at(float(i), lambda: None)
-    assert sim.run_until(10.0, max_events=2) == 2
-    assert sim.pending == 3
-
-
-def test_run_until_respects_stop_from_callback():
-    sim = Simulator()
-    fired = []
-
-    def first():
-        fired.append(1)
-        sim.stop()
-
-    sim.schedule_at(1.0, first)
-    sim.schedule_at(2.0, fired.append, 2)
-    assert sim.run_until(5.0) == 1
-    assert fired == [1]
-
-
-def test_cancel_after_execution_is_harmless_to_freelist_reuse():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(1.0, fired.append, "first")
-    sim.run()
-    # The handle now points at a freelisted entry; cancelling it must not
-    # poison whichever event next recycles that entry.
-    ev.cancel()
-    sim.schedule(1.0, fired.append, "second")
-    sim.run()
-    assert fired == ["first", "second"]
-
-
-def test_cancel_after_run_until_recycle_is_harmless():
-    sim = Simulator()
-    fired = []
-    dead = sim.schedule_at(1.0, fired.append, "dead")
-    dead.cancel()
-    sim.run_until(2.0)  # recycles the cancelled placeholder
-    dead.cancel()  # second cancel on the freelisted entry
-    sim.schedule_at(3.0, fired.append, "reused")
-    sim.run_until(4.0)
-    assert fired == ["reused"]
-
-
-def test_peek_time_recycled_entries_are_reusable():
-    sim = Simulator()
-    a = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    a.cancel()
-    assert sim.peek_time() == 2.0  # compacts: `a`'s entry is freelisted
-    fired = []
-    sim.schedule(0.5, fired.append, "fresh")  # reuses the freelist entry
-    assert sim.peek_time() == 0.5
-    sim.run()
-    assert fired == ["fresh"]
