@@ -28,7 +28,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis.replay import run_scenario
+from repro.analysis.replay import finish, run_scenario
 from repro.checkpoint.runner import (
     build_context,
     load_scenario_checkpoint,
@@ -81,8 +81,6 @@ def profile_size(mesh_side: int, repetitions: int, repeats: int, tmp: Path) -> d
 def _run_with_cadence(params: dict, cadence, tmp: Path):
     """Run one replay cell, optionally checkpointing every ``cadence``
     events exactly as a resumable worker does; returns (digests, rate)."""
-    from repro.analysis.replay import finish_scenario
-
     context = build_context("replay", params)
     if cadence:
         path = tmp / "cadence.ckpt"
@@ -94,7 +92,7 @@ def _run_with_cadence(params: dict, cadence, tmp: Path):
     elapsed = time.process_time() - start
     executed = context.sim.events_executed
     context.sim.set_checkpoint_cadence(None)
-    result = finish_scenario(context).to_dict()
+    result = finish(context).to_dict()
     return result, (executed / elapsed if elapsed > 0 else 0.0), executed
 
 
@@ -162,11 +160,9 @@ def main(argv=None) -> int:
         context = build_context("replay", params)
         context.sim.run(until=context.until / 2)
         save_scenario_checkpoint(context, tmp / "smoke.ckpt")
-        from repro.analysis.replay import finish_scenario
-
         _, resumed = load_scenario_checkpoint(tmp / "smoke.ckpt")
         resumed.sim.run(until=resumed.until)
-        assert finish_scenario(resumed).to_dict() == reference, "resume drift"
+        assert finish(resumed).to_dict() == reference, "resume drift"
 
         sizes = [profile_size(m, r, args.repeats, tmp) for m, r in SIZES]
         cadence = cadence_overhead(args.repeats, tmp)

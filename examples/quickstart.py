@@ -18,7 +18,7 @@ SCHEDULE = BurstSchedule(on_s=3e-4, off_s=5e-4, repetitions=4)
 def main() -> None:
     print(f"{'policy':15s} {'mean latency':>14s} {'p99':>12s} {'accepted':>9s}")
     for policy in ("deterministic", "drb", "pr-drb"):
-        net = build_network(topology="fattree", k=4, n=3, policy=policy,
+        net = build_network(topology="fattree:4,3", policy=policy,
                             notification="router")
         result = run_synthetic(
             net,

@@ -11,7 +11,7 @@ Quickstart::
 
     from repro import build_network, run_synthetic
 
-    net = build_network(topology="fattree", k=4, n=3, policy="pr-drb")
+    net = build_network(topology="fattree:4,3", policy="pr-drb")
     result = run_synthetic(net, pattern="perfect-shuffle",
                            rate_mbps=400, duration_s=0.002)
     print(result.summary())
@@ -32,7 +32,7 @@ from repro.routing import (
 )
 from repro.metrics import StatsRecorder
 from repro.traffic import BurstSchedule, make_pattern
-from repro.api import NetworkHandle, RunResult, build_network, build_topology, run_synthetic
+from repro.api import NetworkHandle, RunResult, build_network, run_synthetic
 
 __version__ = "1.0.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "NetworkHandle",
     "RunResult",
     "build_network",
-    "build_topology",
     "run_synthetic",
     "__version__",
 ]

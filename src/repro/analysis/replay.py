@@ -23,21 +23,33 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 from repro.checkpoint.state import Snapshottable
+
+if TYPE_CHECKING:
+    from repro.faults.campaign import FaultPlan
+    from repro.metrics.recorder import StatsRecorder
+    from repro.network.fabric import Fabric
+    from repro.routing.base import RoutingPolicy
+    from repro.sim.engine import Simulator
 
 __all__ = [
     "RunDigest",
     "ReplayReport",
     "EventTraceDigest",
-    "ScenarioContext",
-    "build_scenario",
+    "Scenario",
+    "ScenarioSpec",
+    "build",
     "digest_metrics",
-    "finish_scenario",
+    "finish",
+    "replay_spec",
     "run_scenario",
+    "scenario_spec",
+    "task_result",
     "check_determinism",
     "main",
 ]
@@ -173,84 +185,189 @@ def digest_metrics(fabric, recorder, policy) -> str:
     return sha.hexdigest()
 
 
-@dataclass
-class ScenarioContext:
-    """A fully built replay scenario: workload started, clock not yet run.
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One seeded hot-spot scenario, as plain picklable data.
 
-    ``run_scenario`` is ``build_scenario`` → ``sim.run(until)`` →
-    ``finish_scenario``; the split exists so :mod:`repro.checkpoint` can
-    stop anywhere in the middle, snapshot the live graph, and a restored
+    The replay harness (:func:`replay_spec`), the fault campaign
+    (:meth:`repro.faults.campaign.FaultCampaignSpec.scenario`) and the
+    pinned throughput runs (:func:`repro.perf.pinned_hotspot_spec`,
+    :func:`repro.perf.pinned_dragonfly_spec`) are all values of this
+    type; :func:`build` turns one into a live :class:`Scenario`.
+    """
+
+    policy: str
+    seed: int
+    #: a :func:`repro.topology.make_topology` spec string.
+    topology: str
+    #: ``(src, dst)`` host pairs of the colliding hot-spot flows.
+    flows: tuple[tuple[int, int], ...]
+    rate_bps: float
+    burst_on_s: float
+    burst_off_s: float
+    repetitions: int
+    #: background rate of every host that is not a flow source.
+    noise_rate_bps: float
+    #: flow sources' trickle rate between bursts.
+    idle_rate_bps: float
+    notification: str
+    #: run this long past the last burst; ``None``: until ``max_events``.
+    drain_s: Optional[float]
+    faults: Optional[FaultPlan] = None
+
+
+def replay_spec(
+    policy: str = "pr-drb", seed: int = 0, mesh_side: int = 4, repetitions: int = 3
+) -> ScenarioSpec:
+    """The seeded small-mesh hot-spot the replay harness digests.
+
+    A ``mesh_side`` x ``mesh_side`` mesh carries three colliding flows plus
+    uniform background noise through repeated bursts — small enough for a
+    sub-second run, busy enough to exercise ACK notification, metapath
+    expansion and (for ``pr-drb``) solution save/replay.
+    """
+    n = mesh_side * mesh_side
+    return ScenarioSpec(
+        policy=policy, seed=seed, topology=f"mesh:{mesh_side}",
+        # Colliding flows: two columns funnel into the same destination column.
+        flows=((0, n - mesh_side + 1), (mesh_side, n - mesh_side + 1), (1, n - 1)),
+        rate_bps=1.2e9, burst_on_s=1.5e-4, burst_off_s=1.5e-4, repetitions=repetitions,
+        noise_rate_bps=3e7, idle_rate_bps=2e8, notification="router", drain_s=4e-4,
+    )
+
+
+def _int_param(params: dict, name: str, default: int) -> int:
+    value = params.get(name, default)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _known_fields(params, allowed, what: str) -> dict:
+    """A copy of ``params``, refused unless it is a dict of ``allowed``
+    fields (names, or a dataclass whose field names are allowed)."""
+    if isinstance(allowed, type):
+        allowed = [f.name for f in fields(allowed)]
+    if not isinstance(params, dict):
+        raise ValueError(f"{what} must be an object, got {params!r}")
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} field(s) {unknown}; expected some of {list(allowed)}")
+    return dict(params)
+
+
+def scenario_spec(kind: str, params: dict) -> ScenarioSpec:
+    """Parse a ``replay`` or ``fault`` task's params into its spec.
+
+    ``replay`` params are ``{"policy", "seed", "mesh_side",
+    "repetitions"}``; ``fault`` params are ``{"policy", "spec": {...}}``
+    with a :meth:`repro.faults.campaign.FaultCampaignSpec.to_dict` body.
+    Missing fields take their defaults; unknown fields and non-integer
+    counts raise ``ValueError`` naming the field.
+    """
+    if kind == "replay":
+        params = _known_fields(params, ("policy", "seed", "mesh_side", "repetitions"), kind)
+        return replay_spec(
+            str(params.get("policy", "pr-drb")),
+            _int_param(params, "seed", 0),
+            _int_param(params, "mesh_side", 4),
+            _int_param(params, "repetitions", 3),
+        )
+    if kind != "fault":
+        raise ValueError(f"unknown scenario kind {kind!r} (expected 'replay' or 'fault')")
+    from repro.faults.campaign import FaultCampaignSpec
+    from repro.network.config import ReliabilityConfig
+
+    params = _known_fields(params, ("policy", "spec"), kind)
+    data = _known_fields(params.get("spec", {}), FaultCampaignSpec, "fault spec")
+    for name in ("seed", "mesh_side", "repetitions"):
+        _int_param(data, name, 0)
+    if isinstance(data.get("reliability"), dict):
+        data["reliability"] = ReliabilityConfig(
+            **_known_fields(data["reliability"], ReliabilityConfig, "reliability")
+        )
+    return FaultCampaignSpec(**data).scenario(str(params.get("policy", "pr-drb")))
+
+
+def _task_params(spec: ScenarioSpec) -> tuple[str, dict]:
+    """The ``(kind, params)`` that :func:`scenario_spec` parses into
+    ``spec``; ``ValueError`` for a spec no task describes."""
+    from repro.faults.campaign import FaultCampaignSpec
+
+    scenario = {"seed": spec.seed, "repetitions": spec.repetitions,
+                "mesh_side": int(spec.topology.removeprefix("mesh:"))}
+    if spec.faults is None:
+        kind, params = "replay", {"policy": spec.policy, **scenario}
+    else:
+        campaign = FaultCampaignSpec(
+            **vars(spec.faults), notification=spec.notification, **scenario
+        )
+        kind, params = "fault", {"policy": spec.policy, "spec": campaign.to_dict()}
+    if scenario_spec(kind, params) != spec:
+        raise ValueError(f"not a replay or fault scenario: {spec!r}")
+    return kind, params
+
+
+#: :class:`Scenario` fields a checkpoint carries, in payload order; the
+#: last two only when the spec has faults.
+_ROOTS = ("until", "sim", "streams", "trace", "recorder", "policy_obj",
+          "fabric", "workload", "transport", "injector")
+
+
+@dataclass
+class Scenario:
+    """A built scenario: workload started, clock not yet run to the end.
+
+    ``run_scenario`` is :func:`build` → ``sim.run(until)`` →
+    :func:`finish`; the split exists so :mod:`repro.checkpoint` can stop
+    anywhere in the middle, snapshot the live graph, and a restored
     process can finish the run and produce the same :class:`RunDigest`.
     """
 
-    seed: int
-    policy: str
-    mesh_side: int
-    repetitions: int
-    until: float
-    sim: object
+    spec: ScenarioSpec
+    #: simulated stop time; ``None`` when the spec has no drain.
+    until: Optional[float]
+    sim: Simulator
     streams: object
-    trace: EventTraceDigest
-    recorder: object
-    policy_obj: object
-    fabric: object
+    trace: Optional[EventTraceDigest]
+    recorder: StatsRecorder
+    policy_obj: RoutingPolicy
+    fabric: Fabric
     workload: object
+    transport: object = None
+    injector: object = None
     invariants: object = None
 
     def checkpoint_roots(self) -> dict:
-        """The named object-graph roots a checkpoint payload carries."""
-        return {
-            "kind": "replay",
-            "params": {
-                "seed": self.seed,
-                "policy": self.policy,
-                "mesh_side": self.mesh_side,
-                "repetitions": self.repetitions,
-            },
-            "until": self.until,
-            "sim": self.sim,
-            "streams": self.streams,
-            "trace": self.trace,
-            "recorder": self.recorder,
-            "policy_obj": self.policy_obj,
-            "fabric": self.fabric,
-            "workload": self.workload,
-        }
+        """The named object-graph roots a checkpoint payload carries
+        (shared identities survive the single ``pickle.dumps``)."""
+        kind, params = _task_params(self.spec)
+        names = _ROOTS if self.spec.faults is not None else _ROOTS[:-2]
+        return {"kind": kind, "params": params, **{n: getattr(self, n) for n in names}}
 
     @classmethod
-    def from_checkpoint_roots(cls, roots: dict) -> "ScenarioContext":
-        params = roots["params"]
-        return cls(
-            seed=int(params["seed"]),
-            policy=str(params["policy"]),
-            mesh_side=int(params["mesh_side"]),
-            repetitions=int(params["repetitions"]),
-            until=float(roots["until"]),
-            sim=roots["sim"],
-            streams=roots["streams"],
-            trace=roots["trace"],
-            recorder=roots["recorder"],
-            policy_obj=roots["policy_obj"],
-            fabric=roots["fabric"],
-            workload=roots["workload"],
-        )
+    def from_checkpoint_roots(cls, roots: dict) -> "Scenario":
+        spec = scenario_spec(roots["kind"], roots["params"])
+        return cls(spec=spec, **{name: roots.get(name) for name in _ROOTS})
 
 
-def build_scenario(
-    seed: int = 0,
-    policy: str = "pr-drb",
-    mesh_side: int = 4,
-    repetitions: int = 3,
-    with_invariants: bool = False,
+def build(
+    spec: ScenarioSpec,
+    *,
+    digest: bool = False,
     tracer=None,
     metrics=None,
     metrics_cadence_s: float | None = None,
-) -> ScenarioContext:
-    """Construct (but do not run) the seeded small-mesh hot-spot scenario.
+    with_invariants: bool = False,
+) -> Scenario:
+    """Construct (but do not run) ``spec``'s scenario.
 
     Construction order is load-bearing: the initial event schedule and
-    RNG stream creation must match the historical ``run_scenario`` body
-    exactly, or the event digests shift.
+    the RNG stream creation fix the event digests.  The observers never
+    perturb the run: ``digest`` installs the event-trace digest
+    :func:`finish` reads (the throughput timers leave it off),
+    ``tracer``/``metrics`` install :mod:`repro.obs` and
+    ``with_invariants`` installs :class:`~repro.analysis.invariants.DebugInvariants`.
     """
     from repro.metrics.recorder import StatsRecorder
     from repro.network.config import NetworkConfig
@@ -258,83 +375,80 @@ def build_scenario(
     from repro.routing import make_policy
     from repro.sim.engine import Simulator
     from repro.sim.rng import RandomStreams
-    from repro.topology.mesh import Mesh2D
+    from repro.topology import make_topology
     from repro.traffic.bursty import BurstSchedule
     from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
 
-    streams = RandomStreams(seed)
+    streams = RandomStreams(spec.seed)
     sim = Simulator()
-    trace = EventTraceDigest().install(sim)
+    trace = EventTraceDigest().install(sim) if digest else None
     recorder = StatsRecorder(window_s=2.5e-5)
-    policy_obj = make_policy(policy, rng=streams.stream("routing"))
+    policy_obj = make_policy(spec.policy, rng=streams.stream("routing"))
     fabric = Fabric(
-        Mesh2D(mesh_side),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        recorder=recorder,
-        notification="router",
+        make_topology(spec.topology), NetworkConfig(), policy_obj, sim,
+        recorder=recorder, notification=spec.notification,
     )
     if tracer is not None or metrics is not None:
         from repro.obs import instrument
 
         instrument(fabric, tracer, metrics, cadence_s=metrics_cadence_s)
-    invariants = None
+    faults = spec.faults
+    transport = injector = invariants = None
+    if faults is not None:
+        from repro.faults.injector import FaultInjector
+        from repro.faults.recovery import ReliableTransport
+
+        transport = ReliableTransport(fabric, faults.reliability)
+        injector = FaultInjector(fabric, rng=streams.stream("faults"))
     if with_invariants:
         from repro.analysis.invariants import DebugInvariants
 
         invariants = DebugInvariants(fabric).install()
-
-    n = fabric.topology.num_hosts
-    # Colliding flows: two columns funnel into the same destination column.
-    flows = [
-        HotSpotFlow(0, n - mesh_side + 1),
-        HotSpotFlow(mesh_side, n - mesh_side + 1),
-        HotSpotFlow(1, n - 1),
-    ]
-    schedule = BurstSchedule(on_s=1.5e-4, off_s=1.5e-4, repetitions=repetitions)
+    schedule = BurstSchedule(
+        on_s=spec.burst_on_s, off_s=spec.burst_off_s, repetitions=spec.repetitions
+    )
+    flows = [HotSpotFlow(src, dst) for src, dst in spec.flows]
+    if faults is not None and injector is not None:
+        injector.apply(*faults.models(fabric.topology, flows, schedule))
     stop = schedule.end_time()
     workload = HotSpotWorkload(
-        fabric,
-        flows,
-        rate_bps=1.2e9,
-        schedule=schedule,
-        stop_s=stop,
-        noise_hosts=range(n),
-        noise_rate_bps=3e7,
-        rng=streams.stream("noise"),
-        idle_rate_bps=2e8,
+        fabric, flows, rate_bps=spec.rate_bps, schedule=schedule, stop_s=stop,
+        noise_hosts=range(fabric.topology.num_hosts),
+        noise_rate_bps=spec.noise_rate_bps, rng=streams.stream("noise"),
+        idle_rate_bps=spec.idle_rate_bps,
     )
     workload.start()
-    return ScenarioContext(
-        seed=seed,
-        policy=policy,
-        mesh_side=mesh_side,
-        repetitions=repetitions,
-        until=stop + 4e-4,
-        sim=sim,
-        streams=streams,
-        trace=trace,
-        recorder=recorder,
-        policy_obj=policy_obj,
-        fabric=fabric,
-        workload=workload,
-        invariants=invariants,
+    return Scenario(
+        spec=spec, until=None if spec.drain_s is None else stop + spec.drain_s,
+        sim=sim, streams=streams, trace=trace, recorder=recorder,
+        policy_obj=policy_obj, fabric=fabric, workload=workload,
+        transport=transport, injector=injector, invariants=invariants,
     )
 
 
-def finish_scenario(context: ScenarioContext) -> RunDigest:
-    """Digest a scenario whose clock has reached ``context.until``."""
-    if context.invariants is not None:
-        context.invariants.check()
+def finish(scenario: Scenario) -> RunDigest:
+    """Digest a scenario built with ``digest=True`` whose clock has run."""
+    if scenario.trace is None:
+        raise ValueError("finish() needs a scenario built with digest=True")
+    if scenario.invariants is not None:
+        scenario.invariants.check()
     return RunDigest(
-        seed=context.seed,
-        policy=context.policy,
-        events=context.trace.hexdigest(),
-        metrics=digest_metrics(context.fabric, context.recorder, context.policy_obj),
-        events_executed=context.sim.events_executed,
-        packets_delivered=context.fabric.data_packets_delivered,
+        seed=scenario.spec.seed,
+        policy=scenario.spec.policy,
+        events=scenario.trace.hexdigest(),
+        metrics=digest_metrics(scenario.fabric, scenario.recorder, scenario.policy_obj),
+        events_executed=scenario.sim.events_executed,
+        packets_delivered=scenario.fabric.data_packets_delivered,
     )
+
+
+def task_result(scenario: Scenario) -> dict:
+    """The JSON result of a finished ``replay`` or ``fault`` task."""
+    if scenario.spec.faults is None:
+        return finish(scenario).to_dict()
+    from repro.faults.campaign import fault_result
+
+    return fault_result(scenario).to_dict()
 
 
 def run_scenario(
@@ -347,30 +461,19 @@ def run_scenario(
     metrics=None,
     metrics_cadence_s: float | None = None,
 ) -> RunDigest:
-    """One complete small-mesh hot-spot run, fully seeded, digested.
+    """One complete :func:`replay_spec` run, fully seeded, digested.
 
-    A ``mesh_side`` x ``mesh_side`` mesh carries three colliding flows plus
-    uniform background noise through repeated bursts — small enough for a
-    sub-second run, busy enough to exercise ACK notification, metapath
-    expansion and (for ``pr-drb``) solution save/replay.
-
-    ``tracer``/``metrics`` install :mod:`repro.obs` observation on the
-    run.  Observation never perturbs behavior, so the returned digests
-    are identical with or without it — ``repro.obs selftest`` checks
-    exactly that through this entry point.
+    Observation never perturbs behavior, so the digests are identical
+    with or without ``tracer``/``metrics`` — ``repro.obs selftest``
+    checks exactly that through this entry point.
     """
-    context = build_scenario(
-        seed=seed,
-        policy=policy,
-        mesh_side=mesh_side,
-        repetitions=repetitions,
+    scenario = build(
+        replay_spec(policy, seed, mesh_side, repetitions), digest=True,
+        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
         with_invariants=with_invariants,
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
     )
-    context.sim.run(until=context.until)
-    return finish_scenario(context)
+    scenario.sim.run(until=scenario.until)
+    return finish(scenario)
 
 
 def check_determinism(

@@ -16,11 +16,7 @@ from repro.network.fabric import DESTINATION_BASED, Fabric
 from repro.routing import make_policy
 from repro.routing.base import RoutingPolicy
 from repro.sim.engine import Simulator
-from repro.topology.base import Topology
-from repro.topology.fattree import KaryNTree
-from repro.topology.hypercube import Hypercube
-from repro.topology.karycube import KaryNCube
-from repro.topology.mesh import Mesh2D, Torus2D
+from repro.topology import Topology, make_topology
 from repro.traffic.bursty import BurstSchedule
 from repro.traffic.generators import SyntheticTrafficSource
 from repro.traffic.patterns import make_pattern
@@ -66,40 +62,21 @@ class RunResult:
         return out
 
 
-def build_topology(topology: str = "mesh", **kwargs) -> Topology:
-    """Construct a topology by name: mesh / torus / fattree / hypercube."""
-    topology = topology.lower()
-    if topology in ("mesh", "mesh2d"):
-        return Mesh2D(kwargs.get("width", 8), kwargs.get("height", kwargs.get("width", 8)))
-    if topology in ("torus", "torus2d"):
-        return Torus2D(kwargs.get("width", 8), kwargs.get("height", kwargs.get("width", 8)))
-    if topology in ("fattree", "karyntree", "fat-tree"):
-        return KaryNTree(kwargs.get("k", 4), kwargs.get("n", 3))
-    if topology == "hypercube":
-        return Hypercube(kwargs.get("dimensions", 6))
-    if topology in ("karyncube", "torus3d", "cube"):
-        return KaryNCube(kwargs.get("k", 4), kwargs.get("n", 3))
-    if topology in ("slimtree", "slimmed-fattree"):
-        from repro.topology.slimtree import SlimmedKaryNTree
-
-        return SlimmedKaryNTree(
-            kwargs.get("k", 4), kwargs.get("n", 3),
-            kwargs.get("keep_fraction", 0.5),
-        )
-    raise ValueError(f"unknown topology {topology!r}")
-
-
 def build_network(
-    topology: str | Topology = "mesh",
+    topology: str | Topology = "mesh:8",
     policy: str | RoutingPolicy = "pr-drb",
     config: Optional[NetworkConfig] = None,
     notification: str = DESTINATION_BASED,
     recorder: Optional[StatsRecorder] = None,
-    **topology_kwargs,
 ) -> NetworkHandle:
-    """Assemble simulator + topology + routers + policy + recorder."""
+    """Assemble simulator + topology + routers + policy + recorder.
+
+    ``topology`` is a :func:`repro.topology.make_topology` spec
+    string (``"fattree:4,3"``, ``"mesh:8"``, ...) or a built
+    :class:`~repro.topology.base.Topology`.
+    """
     if isinstance(topology, str):
-        topology = build_topology(topology, **topology_kwargs)
+        topology = make_topology(topology)
     if isinstance(policy, str):
         policy = make_policy(policy)
     config = config or NetworkConfig()

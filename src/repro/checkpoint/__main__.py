@@ -23,6 +23,7 @@ from pathlib import Path
 from repro.checkpoint.format import CheckpointCorrupt, read_header
 from repro.checkpoint.runner import (
     build_context,
+    finish_context,
     load_scenario_checkpoint,
     save_scenario_checkpoint,
 )
@@ -51,17 +52,18 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _params(args: argparse.Namespace) -> dict:
-    return {
-        "seed": args.seed,
-        "policy": args.policy,
-        "mesh_side": args.mesh_side,
-        "repetitions": args.repetitions,
-    }
+def _params(kind: str, policy: str, args: argparse.Namespace) -> dict:
+    """One cell's task params, shaped exactly as repro.parallel sweeps
+    and served jobs shape them (``fault`` nests its scenario in ``spec``)."""
+    from repro.parallel.tasks import expand_grid
+
+    grid = {"kind": kind, "policies": [policy], "seeds": [args.seed],
+            "mesh_side": args.mesh_side, "repetitions": args.repetitions}
+    return expand_grid(grid)[0].params
 
 
 def _cmd_save(args: argparse.Namespace) -> int:
-    context = build_context(args.kind, _params(args))
+    context = build_context(args.kind, _params(args.kind, args.policy, args))
     if not 0.0 <= args.fraction < 1.0:
         print("error: --fraction must be in [0, 1)", file=sys.stderr)
         return 2
@@ -84,10 +86,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     context.sim.run(until=context.until)
-    from repro.checkpoint.runner import finish_context
-
-    result = finish_context(context)
-    print(json.dumps(result, indent=None if args.json else 2))
+    print(json.dumps(finish_context(context), indent=None if args.json else 2))
     return 0
 
 
@@ -101,30 +100,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reference_result(kind: str, params: dict) -> dict:
-    context = build_context(kind, params)
-    context.sim.run(until=context.until)
-    from repro.checkpoint.runner import finish_context
-
-    return finish_context(context)
-
-
-def _digest_keys(kind: str) -> tuple[str, str]:
-    if kind == "replay":
-        return "events", "metrics"
-    return "events_digest", "metrics_digest"
-
-
 def _verify_one(
     kind: str, policy: str, args: argparse.Namespace, tmpdir: Path
 ) -> tuple[bool, str]:
-    params = {
-        "seed": args.seed,
-        "policy": policy,
-        "mesh_side": args.mesh_side,
-        "repetitions": args.repetitions,
-    }
-    reference = _reference_result(kind, params)
+    params = _params(kind, policy, args)
+    context = build_context(kind, params)
+    context.sim.run(until=context.until)
+    reference = finish_context(context)
     context = build_context(kind, params)
     context.sim.run(until=context.until * args.fraction)
     path = tmpdir / f"{kind}-{policy}.ckpt"
@@ -140,23 +122,13 @@ def _verify_one(
     if proc.returncode != 0:
         return False, f"{kind}/{policy}: restore failed: {proc.stderr.strip()}"
     resumed = json.loads(proc.stdout)
-    ev_key, mt_key = _digest_keys(kind)
-    checks = (
-        ("event digest", reference[ev_key], resumed[ev_key]),
-        ("metric digest", reference[mt_key], resumed[mt_key]),
-        (
-            "events executed",
-            reference["events_executed"],
-            resumed["events_executed"],
-        ),
+    diverged = sorted(key for key in reference if resumed.get(key) != reference[key])
+    if diverged:
+        return False, f"{kind}/{policy}: {', '.join(diverged)} diverged after resume"
+    return True, (
+        f"{kind}/{policy}: resume bit-identical "
+        f"({reference['events_executed']} events)"
     )
-    for label, want, got in checks:
-        if want != got:
-            return False, (
-                f"{kind}/{policy}: {label} diverged after resume "
-                f"(uninterrupted {want!r} != resumed {got!r})"
-            )
-    return True, f"{kind}/{policy}: resume bit-identical ({reference[ev_key][:16]}…)"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,12 +1,10 @@
 """Scenario-level checkpoint orchestration.
 
-Glue between the envelope (:mod:`repro.checkpoint.format`) and the two
-scenario families that know how to enumerate their stateful roots:
-
-* ``replay`` — the seeded hot-spot replay harness
-  (:class:`repro.analysis.replay.ScenarioContext`);
-* ``fault`` — the fault-injection campaign
-  (:class:`repro.faults.campaign.FaultScenarioContext`).
+Glue between the envelope (:mod:`repro.checkpoint.format`) and the
+scenario spine (:mod:`repro.analysis.replay`): every resumable task kind
+(``replay``, the seeded hot-spot replay harness, and ``fault``, the
+fault-injection campaign) builds one :class:`~repro.analysis.replay.Scenario`
+from its params, and that one context enumerates its stateful roots.
 
 A checkpoint is **one** pickle image of the context's named roots plus
 the process-global packet-id counter, so every shared identity in the
@@ -19,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.analysis.replay import Scenario, build, scenario_spec, task_result
 from repro.checkpoint.format import (
     CheckpointHeader,
     read_payload,
@@ -36,9 +35,6 @@ __all__ = [
     "scenario_kinds",
 ]
 
-#: checkpoint kinds this runner can build and resume.
-_KINDS = ("replay", "fault")
-
 
 def code_version() -> str:
     """Version stamp refusing cross-version restores (repro release)."""
@@ -48,47 +44,22 @@ def code_version() -> str:
 
 
 def scenario_kinds() -> tuple[str, ...]:
-    return _KINDS
+    from repro.parallel.tasks import SCENARIO_KINDS
+
+    return SCENARIO_KINDS
 
 
-def build_context(kind: str, params: dict):
-    """Construct a not-yet-run scenario context for ``kind``."""
-    if kind == "replay":
-        from repro.analysis.replay import build_scenario
-
-        return build_scenario(
-            seed=int(params.get("seed", 0)),
-            policy=str(params.get("policy", "pr-drb")),
-            mesh_side=int(params.get("mesh_side", 4)),
-            repetitions=int(params.get("repetitions", 3)),
-        )
-    if kind == "fault":
-        from repro.faults.campaign import FaultCampaignSpec, build_fault_scenario
-        from repro.network.config import ReliabilityConfig
-
-        spec_data = params.get("spec")
-        if spec_data is not None:
-            spec_data = dict(spec_data)
-            reliability = spec_data.get("reliability")
-            if isinstance(reliability, dict):
-                spec_data["reliability"] = ReliabilityConfig(**reliability)
-            spec = FaultCampaignSpec(**spec_data)
-        else:
-            spec = FaultCampaignSpec(seed=int(params.get("seed", 0)))
-        return build_fault_scenario(str(params.get("policy", "pr-drb")), spec)
-    raise SnapshotError(f"unknown scenario kind {kind!r} (expected {_KINDS})")
+def build_context(kind: str, params: dict) -> Scenario:
+    """Construct a not-yet-run, digesting scenario for a task kind."""
+    try:
+        spec = scenario_spec(kind, params)
+    except ValueError as exc:
+        raise SnapshotError(str(exc)) from exc
+    return build(spec, digest=True)
 
 
-def finish_context(context) -> dict:
-    """Run-complete bookkeeping; returns the JSON-ready digest result."""
-    from repro.analysis.replay import ScenarioContext, finish_scenario
-    from repro.faults.campaign import FaultScenarioContext, finish_fault_scenario
-
-    if isinstance(context, ScenarioContext):
-        return finish_scenario(context).to_dict()
-    if isinstance(context, FaultScenarioContext):
-        return finish_fault_scenario(context).to_dict()
-    raise SnapshotError(f"unknown context type {type(context).__qualname__}")
+#: run-complete bookkeeping: a finished context's JSON-ready result.
+finish_context = task_result
 
 
 def save_scenario_checkpoint(
@@ -129,13 +100,7 @@ def load_scenario_checkpoint(
     if not isinstance(roots, dict) or "kind" not in roots:
         raise SnapshotError(f"{path}: payload is not a scenario checkpoint")
     set_pid_counter(roots.pop("pid_counter"))
-    kind = roots["kind"]
-    if kind == "replay":
-        from repro.analysis.replay import ScenarioContext
-
-        return header, ScenarioContext.from_checkpoint_roots(roots)
-    if kind == "fault":
-        from repro.faults.campaign import FaultScenarioContext
-
-        return header, FaultScenarioContext.from_checkpoint_roots(roots)
-    raise SnapshotError(f"{path}: unknown checkpoint kind {kind!r}")
+    try:
+        return header, Scenario.from_checkpoint_roots(roots)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc

@@ -36,14 +36,13 @@ def _cmd_simulate(args) -> int:
     from repro.api import build_network, run_synthetic
     from repro.traffic.bursty import BurstSchedule
 
-    net = build_network(
-        topology=args.topology,
-        policy=args.policy,
-        notification=args.notification,
-        width=args.width,
-        k=args.k,
-        n=args.n,
-    )
+    try:
+        net = build_network(
+            topology=args.topology, policy=args.policy, notification=args.notification
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     schedule = None
     if args.bursts:
         schedule = BurstSchedule(
@@ -145,11 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments / policies / patterns")
 
     sim = sub.add_parser("simulate", help="run a synthetic workload")
-    sim.add_argument("--topology", default="fattree",
-                     choices=["mesh", "torus", "fattree", "hypercube"])
-    sim.add_argument("--width", type=int, default=8, help="mesh/torus width")
-    sim.add_argument("--k", type=int, default=4, help="fat-tree arity")
-    sim.add_argument("--n", type=int, default=3, help="fat-tree levels")
+    sim.add_argument("--topology", default="fattree:4,3", metavar="SPEC",
+                     help="topology spec, e.g. mesh:8, fattree:4,3, "
+                     "dragonfly:4,2,2 (default: %(default)s)")
     sim.add_argument("--policy", default="pr-drb")
     sim.add_argument("--pattern", default="perfect-shuffle")
     sim.add_argument("--rate-mbps", type=float, default=1000.0)

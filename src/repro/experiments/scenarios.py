@@ -49,7 +49,7 @@ from repro.traffic.patterns import PATTERNS
 #: (§3.4.1), the design alternative the thesis recommends for speed.
 NOTIFICATION = "router"
 
-#: Declarative topology specs (repro.parallel.make_topology) so the
+#: Declarative topology specs (repro.topology.make_topology) so the
 #: policy x seed grids can be shipped to worker processes when
 #: ``REPRO_PARALLEL_WORKERS`` is set; serial execution resolves the same
 #: specs in-process, so results are identical either way.

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.orchestrator import SweepConfig, run_sweep
-from repro.parallel.tasks import SimTask, canonical_json
+from repro.parallel.tasks import canonical_json, expand_grid
 
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 _DEFAULT_CACHE = ".repro_cache"
@@ -45,35 +45,16 @@ def _parse_seeds(text: str) -> list[int]:
     return list(range(int(text)))
 
 
-def _build_tasks(args) -> list[SimTask]:
-    tasks: list[SimTask] = []
-    for policy in args.policies:
-        for seed in _parse_seeds(args.seeds):
-            if args.kind == "replay":
-                params = {
-                    "policy": policy,
-                    "seed": seed,
-                    "mesh_side": args.mesh_side,
-                    "repetitions": args.repetitions,
-                }
-            else:  # fault
-                params = {
-                    "policy": policy,
-                    "spec": {
-                        "seed": seed,
-                        "mesh_side": args.mesh_side,
-                        "repetitions": args.repetitions,
-                        "ack_loss": args.ack_loss,
-                    },
-                }
-            tasks.append(
-                SimTask(
-                    kind=args.kind,
-                    params=params,
-                    label=f"{args.kind}:{policy}/seed{seed}",
-                )
-            )
-    return tasks
+def _grid_spec(args) -> dict:
+    """The flags as a job spec: the same grid ``POST /jobs`` expands."""
+    return {
+        "kind": args.kind,
+        "policies": args.policies,
+        "seeds": _parse_seeds(args.seeds),
+        "mesh_side": args.mesh_side,
+        "repetitions": args.repetitions,
+        "ack_loss": args.ack_loss,
+    }
 
 
 def _progress_printer(event: dict) -> None:
@@ -107,7 +88,7 @@ def _sweep_config(args, cache_dir: Optional[str]) -> SweepConfig:
 
 def _cmd_run(args) -> int:
     cache_dir = None if args.no_cache else _cache_dir(args)
-    tasks = _build_tasks(args)
+    tasks = expand_grid(_grid_spec(args))
     report = run_sweep(
         tasks,
         _sweep_config(args, cache_dir),
@@ -142,7 +123,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tasks = _build_tasks(args)
+    tasks = expand_grid(_grid_spec(args))
     parallel_config = _sweep_config(args, None)
     serial = run_sweep(tasks, dataclasses.replace(parallel_config, workers=1))
     parallel = run_sweep(tasks, parallel_config)

@@ -1,4 +1,4 @@
-"""Declarative simulation tasks and content-addressed task keys.
+"""Declarative simulation tasks, job-grid expansion and content-addressed keys.
 
 A sweep cell — one (policy, seed, scenario) simulation — is described by
 a :class:`SimTask`: a registered *kind* plus a JSON-serializable params
@@ -20,14 +20,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
+
+from repro.topology import make_topology
 
 __all__ = [
+    "SCENARIO_KINDS",
+    "SERVABLE_KINDS",
     "SimTask",
     "canonical_json",
     "code_version",
+    "expand_grid",
     "json_safe",
     "make_topology",
     "task_key",
@@ -142,96 +148,137 @@ def task_key(task: SimTask, version: Optional[str] = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Topology specs
+# Job-spec grid expansion (python -m repro.parallel, POST /jobs)
 # ----------------------------------------------------------------------
-def _mesh(args: list):
-    from repro.topology.mesh import Mesh2D
+_DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
-    return Mesh2D(int(args[0]))
+#: task kinds a job spec may reference (``selftest`` is the orchestrator
+#: test double and stays CLI/test-only).
+SERVABLE_KINDS = ("replay", "fault", "hotspot", "pattern")
 
-
-def _torus(args: list):
-    from repro.topology.mesh import Torus2D
-
-    return Torus2D(int(args[0]))
-
-
-def _fattree(args: list):
-    from repro.topology.fattree import KaryNTree
-
-    return KaryNTree(int(args[0]), int(args[1]))
+#: task kinds whose params parse into a
+#: :class:`~repro.analysis.replay.ScenarioSpec` — exactly the kinds
+#: :mod:`repro.checkpoint` can snapshot and resume mid-run.
+SCENARIO_KINDS = ("replay", "fault")
 
 
-def _slimtree(args: list):
-    from repro.topology.slimtree import SlimmedKaryNTree
-
-    return SlimmedKaryNTree(int(args[0]), int(args[1]), float(args[2]))
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _hypercube(args: list):
-    from repro.topology.hypercube import Hypercube
+def _int_field(spec: dict, name: str, default: int) -> int:
+    value = spec.get(name, default)
+    if not _is_int(value):
+        raise ValueError(f"{name!r} must be an integer, got {reprlib.repr(value)}")
+    return value
 
-    return Hypercube(int(args[0]))
+
+def _float_field(spec: dict, name: str, default: float) -> float:
+    value = spec.get(name, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name!r} must be a number, got {reprlib.repr(value)}")
+    return float(value)
 
 
-def _dragonfly(args: list):
-    from repro.topology.dragonfly import Dragonfly
+def _as_params(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name!r} must be an object, got {reprlib.repr(value)}")
+    return dict(value)
 
-    if len(args) != 3:
+
+def _parse_seeds(raw) -> list[int]:
+    """``4`` -> ``[0, 1, 2, 3]``; a list passes through."""
+    if _is_int(raw):
+        if raw < 1:
+            raise ValueError("seed count must be >= 1")
+        return list(range(raw))
+    if isinstance(raw, (list, tuple)) and all(_is_int(seed) for seed in raw):
+        return list(raw)
+    raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
+
+
+def _parse_policies(raw) -> list[str]:
+    """A non-empty list of policy names (a bare string is refused)."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(p, str) for p in raw):
         raise ValueError(
-            f"dragonfly takes exactly 3 arguments a,p,h (got {len(args)})"
+            f"'policies' must be a list of policy names, got {reprlib.repr(raw)}"
         )
-    a, p, h = args
-    if not all(isinstance(v, int) for v in (a, p, h)):
-        raise ValueError(f"dragonfly arguments must be integers (got {args!r})")
-    return Dragonfly(a, p, h)
+    if not raw:
+        raise ValueError("'policies' must be non-empty")
+    return list(raw)
 
 
-_TOPOLOGY_BUILDERS: dict[str, Callable[[list], Any]] = {
-    "mesh": _mesh,
-    "torus": _torus,
-    "fattree": _fattree,
-    "slimtree": _slimtree,
-    "hypercube": _hypercube,
-    "dragonfly": _dragonfly,
-}
+def expand_grid(spec: dict) -> list[SimTask]:
+    """Expand a job spec into its :class:`SimTask` cells.
 
-
-def _coerce_arg(text: str):
-    """``"4"`` -> int 4, ``"0.5"`` -> float 0.5.
-
-    Spec arguments used to be coerced through ``float`` wholesale, which
-    silently turned integer builder params (k, n, dims) into floats;
-    builders that validate types (dragonfly) need the distinction kept.
+    Spec shapes are documented in :mod:`repro.serve.jobs`.  Every
+    ``replay``/``fault`` cell's params go through the scenario parser
+    (:func:`repro.analysis.replay.scenario_spec`), so an unknown or
+    mistyped field fails here.  Raises ``ValueError`` naming the field
+    for anything malformed — the HTTP layer turns that into a 400 so bad
+    specs never reach the queue.
     """
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    if not isinstance(spec, dict):
+        raise ValueError("job spec must be a JSON object")
+
+    if "tasks" in spec:
+        raw_tasks = spec["tasks"]
+        if not isinstance(raw_tasks, list) or not raw_tasks:
+            raise ValueError("'tasks' must be a non-empty list")
+        tasks = []
+        for index, raw in enumerate(raw_tasks):
+            if not isinstance(raw, dict) or "kind" not in raw:
+                raise ValueError(f"tasks[{index}] must be an object with 'kind'")
+            kind = str(raw["kind"])
+            if kind not in SERVABLE_KINDS:
+                raise ValueError(
+                    f"tasks[{index}].kind {kind!r} not servable; "
+                    f"allowed: {list(SERVABLE_KINDS)}"
+                )
+            params = _as_params(raw.get("params", {}), f"tasks[{index}].params")
+            _check_cell(kind, params, f"tasks[{index}].params")
+            tasks.append(SimTask(kind=kind, params=params, label=str(raw.get("label", ""))))
+        return tasks
+
+    kind = str(spec.get("kind", "replay"))
+    if kind not in SERVABLE_KINDS:
+        raise ValueError(f"kind {kind!r} not servable; allowed: {list(SERVABLE_KINDS)}")
+    policies = _parse_policies(spec.get("policies", _DEFAULT_POLICIES))
+    seeds = _parse_seeds(spec.get("seeds", 1))
+    extra = _as_params(spec.get("params", {}), "params")
+    scenario = {
+        "mesh_side": _int_field(spec, "mesh_side", 4),
+        "repetitions": _int_field(spec, "repetitions", 3),
+    }
+    ack_loss = _float_field(spec, "ack_loss", 0.1)
+    tasks = []
+    for policy in policies:
+        for seed in seeds:
+            if kind == "replay":
+                params = {**extra, "policy": policy, "seed": seed, **scenario}
+            elif kind == "fault":
+                params = {"policy": policy, "spec": {
+                    **extra, "seed": seed, **scenario, "ack_loss": ack_loss,
+                }}
+            else:  # hotspot / pattern need their workload knobs in params
+                if "topology" not in extra:
+                    raise ValueError(f"{kind} grids need params.topology (e.g. 'mesh:8')")
+                params = {**extra, "policy": policy, "seed": seed}
+            tasks.append(
+                SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
+            )
+    # Cells differ only in policy and seed, which the scenario parser
+    # accepts as _parse_policies/_parse_seeds checked them: one parse
+    # covers the grid.
+    _check_cell(kind, tasks[0].params, "params")
+    return tasks
 
 
-def make_topology(spec: str):
-    """Build a topology from a declarative spec string.
+def _check_cell(kind: str, params: dict, where: str) -> None:
+    if kind in SCENARIO_KINDS:
+        from repro.analysis.replay import scenario_spec
 
-    Specs: ``mesh:8``, ``torus:8``, ``fattree:4,3``, ``slimtree:4,3,0.5``,
-    ``hypercube:6``, ``dragonfly:4,2,2``.  Each call returns a fresh
-    instance (factory semantics), so a spec can replace the
-    ``topology_factory`` callables used throughout
-    :mod:`repro.experiments`.  The instance comes with its route cache
-    pre-enabled (see ``Topology.enable_route_cache``): workers answer the
-    same minimal-route queries for every packet of a cell.
-    """
-    name, _, arg_text = spec.partition(":")
-    builder = _TOPOLOGY_BUILDERS.get(name.strip())
-    if builder is None:
-        raise ValueError(
-            f"unknown topology spec {spec!r}; expected one of "
-            f"{sorted(_TOPOLOGY_BUILDERS)} with ':'-separated arguments"
-        )
-    try:
-        args = [_coerce_arg(part.strip()) for part in arg_text.split(",") if part.strip()]
-        topology = builder(args)
-    except (ValueError, IndexError, TypeError) as exc:
-        raise ValueError(f"bad topology spec {spec!r}: {exc}") from exc
-    topology.enable_route_cache()
-    return topology
+        try:
+            scenario_spec(kind, params)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc

@@ -12,9 +12,9 @@ enforce this).
 Task kinds
 ----------
 ``replay``
-    One seeded small-mesh hot-spot run through
-    :func:`repro.analysis.replay.run_scenario`; result carries the
-    event-trace and metrics SHA-256 digests.
+    One seeded small-mesh hot-spot run, built from its params by the
+    scenario spine (:func:`repro.analysis.replay.scenario_spec`); result
+    carries the event-trace and metrics SHA-256 digests.
 ``hotspot`` / ``pattern``
     One (policy, seed) cell of
     :func:`repro.experiments.runner.run_hotspot_workload` /
@@ -22,8 +22,8 @@ Task kinds
     declarative topology spec; result is a lossless
     :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
 ``fault``
-    One policy's seeded fault scenario through
-    :func:`repro.faults.campaign.run_fault_scenario`.
+    One policy's seeded fault scenario through the same spine; result
+    is a :class:`repro.faults.campaign.FaultRunResult` dict.
 ``selftest``
     Orchestrator test double: succeeds, raises, crashes the worker
     process, or spins — used by the supervision tests and CI only.
@@ -46,7 +46,7 @@ import os
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.parallel.tasks import SimTask, json_safe
+from repro.parallel.tasks import SCENARIO_KINDS, SimTask, json_safe
 
 __all__ = [
     "CHECKPOINTED_EXIT",
@@ -61,7 +61,7 @@ __all__ = [
 CHECKPOINTED_EXIT = 75
 
 #: task kinds the checkpoint runner can build and resume.
-RESUMABLE_KINDS = ("replay", "fault")
+RESUMABLE_KINDS = SCENARIO_KINDS
 
 #: one snapshot of a sweep-sized cell costs ~25 ms against ~120k
 #: simulated events/s, so a 200k cadence keeps the measured throughput
@@ -87,34 +87,21 @@ def _checkpoint_every() -> int:
 # ----------------------------------------------------------------------
 # Kind implementations
 # ----------------------------------------------------------------------
-def _run_replay(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.analysis.replay import run_scenario
+def _run_spec(kind: str, params: dict, tracer, metrics, metrics_cadence_s) -> dict:
+    from repro.analysis.replay import build, scenario_spec, task_result
 
-    digest = run_scenario(
-        seed=int(params.get("seed", 0)),
-        policy=str(params.get("policy", "pr-drb")),
-        mesh_side=int(params.get("mesh_side", 4)),
-        repetitions=int(params.get("repetitions", 3)),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
-    )
-    return digest.to_dict()
+    scenario = build(scenario_spec(kind, params), digest=True, tracer=tracer,
+                     metrics=metrics, metrics_cadence_s=metrics_cadence_s)
+    scenario.sim.run(until=scenario.until)
+    return task_result(scenario)
+
+
+def _run_replay(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
+    return _run_spec("replay", params, tracer, metrics, metrics_cadence_s)
 
 
 def _run_fault(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.faults.campaign import FaultCampaignSpec, run_fault_scenario
-    from repro.network.config import ReliabilityConfig
-
-    spec_params = dict(params.get("spec", {}))
-    reliability = spec_params.pop("reliability", None)
-    if reliability is not None:
-        spec_params["reliability"] = ReliabilityConfig(**reliability)
-    result = run_fault_scenario(
-        policy=str(params.get("policy", "pr-drb")),
-        spec=FaultCampaignSpec(**spec_params),
-    )
-    return result.to_dict()
+    return _run_spec("fault", params, tracer, metrics, metrics_cadence_s)
 
 
 def _build_schedule(params: Optional[dict]):

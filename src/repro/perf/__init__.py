@@ -36,6 +36,8 @@ __all__ = [
     "RATE_REGRESSION_TOLERANCE",
     "load_baseline",
     "check_digests",
+    "pinned_dragonfly_spec",
+    "pinned_hotspot_spec",
     "run_pinned_workload",
     "run_pinned_dragonfly_workload",
     "measure_events_per_s",
@@ -43,8 +45,13 @@ __all__ = [
     "main",
 ]
 
-#: Policies covered by the gate, in report order.
-DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
+#: Policies covered by the gate, in report order: every registered
+#: policy, one name per factory (aliases are not separate policies).
+DEFAULT_POLICIES = (
+    "deterministic", "drb", "pr-drb", "fr-drb",
+    "random", "cyclic", "adaptive", "adaptive-hop", "pr-fr-drb",
+    "notified-adaptive", "ugal",
+)
 
 #: Committed baseline: replay digests + pre-optimization event rates.
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
@@ -97,61 +104,30 @@ def check_digests(
 
 
 # ----------------------------------------------------------------------
-# Pinned hot-spot workload (shared with scripts/profile_sim.py)
+# Pinned hot-spot workloads (shared with scripts/profile_sim.py)
 # ----------------------------------------------------------------------
-def run_pinned_workload(
-    policy: str, max_events: int, tracer=None, metrics=None,
-    metrics_cadence_s: Optional[float] = None,
-) -> int:
-    """Run the pinned hot-spot workload; return events executed.
+def pinned_hotspot_spec(policy: str, seed: int = 0, repetitions: int = 50):
+    """The pinned mesh:8 hot-spot scenario the throughput watch times.
 
     An 8x8 mesh with four colliding hot-spot flows under a repeated
     on/off burst schedule — the congested steady state whose profile
     drove the engine/network optimizations (docs/performance.md).  The
     parameters are mirrored in ``baseline.json``'s ``workload`` block and
-    must not drift, or recorded rates stop being comparable.
-
-    ``tracer``/``metrics`` (a :class:`repro.obs.tracer.Tracer` and
-    :class:`repro.obs.metrics.MetricsRegistry`) instrument the run; both
-    observe only, so the executed event stream is identical either way.
+    must not drift, or recorded rates stop being comparable.  No drain:
+    callers stop it with ``max_events``.
     """
-    from repro.network.config import NetworkConfig
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
+    from repro.analysis.replay import ScenarioSpec
 
-    sim = Simulator()
-    fabric = Fabric(Mesh2D(8), NetworkConfig(), make_policy(policy), sim)
-    if tracer is not None or metrics is not None:
-        from repro.obs import instrument
-
-        instrument(fabric, tracer, metrics, cadence_s=metrics_cadence_s)
-    schedule = BurstSchedule(on_s=3e-4, off_s=3e-4, repetitions=50)
-    flows = [
-        HotSpotFlow(0, 37),
-        HotSpotFlow(8, 45),
-        HotSpotFlow(16, 53),
-        HotSpotFlow(24, 61),
-    ]
-    HotSpotWorkload(
-        fabric,
-        flows,
-        rate_bps=1.3e9,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        idle_rate_bps=250e6,
-    ).start()
-    sim.run(max_events=max_events)
-    return sim.events_executed
+    return ScenarioSpec(
+        policy=policy, seed=seed, topology="mesh:8",
+        flows=((0, 37), (8, 45), (16, 53), (24, 61)),
+        rate_bps=1.3e9, burst_on_s=3e-4, burst_off_s=3e-4, repetitions=repetitions,
+        noise_rate_bps=0.0, idle_rate_bps=250e6, notification="destination", drain_s=None,
+    )
 
 
-def run_pinned_dragonfly_workload(
-    policy: str, max_events: Optional[int] = None, seed: int = 0,
-) -> dict:
-    """Run the pinned dragonfly group-pair hot-spot; return run counters.
+def pinned_dragonfly_spec(policy: str, seed: int = 0, repetitions: int = 3):
+    """The pinned dragonfly group-pair hot-spot.
 
     The adversarial permutation behind ``benchmarks/bench_dragonfly.py``
     and the CI dragonfly-smoke digest gate: every host of group 0 sends
@@ -161,45 +137,48 @@ def run_pinned_dragonfly_workload(
     pinned — the smoke job compares same-seed event digests across runs,
     so any drift here is a determinism bug, not a tunable.
     """
-    from repro.analysis.replay import EventTraceDigest
-    from repro.network.config import NetworkConfig
-    from repro.network.fabric import Fabric
-    from repro.parallel.tasks import make_topology
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
+    from repro.analysis.replay import ScenarioSpec
 
-    streams = RandomStreams(seed)
-    sim = Simulator()
-    trace = EventTraceDigest().install(sim)
-    policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    fabric = Fabric(
-        make_topology("dragonfly:4,2,2"),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        notification="router",
+    return ScenarioSpec(
+        policy=policy, seed=seed, topology="dragonfly:4,2,2",
+        flows=tuple((h, h + 8) for h in range(8)),
+        rate_bps=1.3e9, burst_on_s=3e-4, burst_off_s=1e-4, repetitions=repetitions,
+        noise_rate_bps=30e6, idle_rate_bps=0.0, notification="router", drain_s=8e-4,
     )
-    schedule = BurstSchedule(on_s=3e-4, off_s=1e-4, repetitions=3)
-    HotSpotWorkload(
-        fabric,
-        [HotSpotFlow(h, h + 8) for h in range(8)],
-        rate_bps=1.3e9,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        noise_hosts=range(fabric.topology.num_hosts),
-        noise_rate_bps=30e6,
-        rng=streams.stream("noise"),
-    ).start()
-    sim.run(until=schedule.end_time() + 8e-4, max_events=max_events)
+
+
+def run_pinned_workload(
+    policy: str, max_events: int, tracer=None, metrics=None,
+    metrics_cadence_s: Optional[float] = None,
+) -> int:
+    """Run :func:`pinned_hotspot_spec` for ``max_events``; return events
+    executed.  The throughput timers' run: no event digest, and the
+    optional ``tracer``/``metrics`` observe only."""
+    from repro.analysis.replay import build
+
+    scenario = build(
+        pinned_hotspot_spec(policy),
+        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
+    )
+    scenario.sim.run(until=scenario.until, max_events=max_events)
+    return scenario.sim.events_executed
+
+
+def run_pinned_dragonfly_workload(
+    policy: str, max_events: Optional[int] = None, seed: int = 0,
+) -> dict:
+    """Run :func:`pinned_dragonfly_spec` digested; return run counters."""
+    from repro.analysis.replay import build
+
+    scenario = build(pinned_dragonfly_spec(policy, seed), digest=True)
+    scenario.sim.run(until=scenario.until, max_events=max_events)
+    fabric = scenario.fabric
     return {
-        "events_executed": sim.events_executed,
+        "events_executed": scenario.sim.events_executed,
         "packets_injected": fabric.data_packets_injected,
         "packets_delivered": fabric.data_packets_delivered,
-        "digest": trace.hexdigest(),
-        "policy_stats": policy_obj.stats(),
+        "digest": scenario.trace.hexdigest(),
+        "policy_stats": scenario.policy_obj.stats(),
     }
 
 
@@ -320,7 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--policies",
         default=",".join(DEFAULT_POLICIES),
-        help="comma-separated policy list (default: all four)",
+        help="comma-separated policy list (default: every registered policy)",
     )
     parser.add_argument(
         "--baseline",

@@ -1,9 +1,10 @@
-"""Job records, declarative grid expansion, and the JSONL job journal.
+"""Job records, content-addressed job identity, and the JSONL job journal.
 
-A *job* is one ``POST /jobs`` submission: a declarative spec that expands
-into a list of :class:`~repro.parallel.tasks.SimTask` cells (the same
-spec vocabulary the ``python -m repro.parallel`` CLI builds from flags).
-Two spec shapes are accepted:
+A *job* is one ``POST /jobs`` submission: a declarative spec that
+:func:`~repro.parallel.tasks.expand_grid` expands into a list of
+:class:`~repro.parallel.tasks.SimTask` cells (the same expansion the
+``python -m repro.parallel`` CLI runs on its flags).  Two spec shapes
+are accepted:
 
 Explicit task list::
 
@@ -35,145 +36,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import reprlib
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.parallel.tasks import SimTask, canonical_json, task_key
+from repro.parallel.tasks import SimTask, canonical_json, expand_grid, task_key
 
 __all__ = ["Job", "JobStore", "expand_grid", "grid_key", "JOB_STATES"]
 
 #: legal job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
-
-_DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
-
-#: task kinds a job spec may reference (``selftest`` is the orchestrator
-#: test double and stays CLI/test-only).
-SERVABLE_KINDS = ("replay", "fault", "hotspot", "pattern")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_field(spec: dict, name: str, default: int) -> int:
-    value = spec.get(name, default)
-    if not _is_int(value):
-        raise ValueError(f"{name!r} must be an integer, got {reprlib.repr(value)}")
-    return value
-
-
-def _float_field(spec: dict, name: str, default: float) -> float:
-    value = spec.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name!r} must be a number, got {reprlib.repr(value)}")
-    return float(value)
-
-
-def _as_params(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name!r} must be an object, got {reprlib.repr(value)}")
-    return dict(value)
-
-
-def _parse_seeds(raw) -> list[int]:
-    """``4`` -> ``[0, 1, 2, 3]``; a list passes through."""
-    if _is_int(raw):
-        if raw < 1:
-            raise ValueError("seed count must be >= 1")
-        return list(range(raw))
-    if isinstance(raw, (list, tuple)) and all(_is_int(seed) for seed in raw):
-        return list(raw)
-    raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
-
-
-def _parse_policies(raw) -> list[str]:
-    """A non-empty list of policy names (a bare string is refused)."""
-    if not isinstance(raw, (list, tuple)) or not all(isinstance(p, str) for p in raw):
-        raise ValueError(
-            f"'policies' must be a list of policy names, got {reprlib.repr(raw)}"
-        )
-    if not raw:
-        raise ValueError("'policies' must be non-empty")
-    return list(raw)
-
-
-def expand_grid(spec: dict) -> list[SimTask]:
-    """Expand a job spec into its :class:`SimTask` cells.
-
-    Raises ``ValueError`` naming the field for anything malformed — the
-    HTTP layer turns that into a 400 so bad specs never reach the queue.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError("job spec must be a JSON object")
-
-    if "tasks" in spec:
-        raw_tasks = spec["tasks"]
-        if not isinstance(raw_tasks, list) or not raw_tasks:
-            raise ValueError("'tasks' must be a non-empty list")
-        tasks = []
-        for index, raw in enumerate(raw_tasks):
-            if not isinstance(raw, dict) or "kind" not in raw:
-                raise ValueError(f"tasks[{index}] must be an object with 'kind'")
-            kind = str(raw["kind"])
-            if kind not in SERVABLE_KINDS:
-                raise ValueError(
-                    f"tasks[{index}].kind {kind!r} not servable; "
-                    f"allowed: {list(SERVABLE_KINDS)}"
-                )
-            tasks.append(
-                SimTask(
-                    kind=kind,
-                    params=_as_params(raw.get("params", {}), f"tasks[{index}].params"),
-                    label=str(raw.get("label", "")),
-                )
-            )
-        return tasks
-
-    kind = str(spec.get("kind", "replay"))
-    if kind not in SERVABLE_KINDS:
-        raise ValueError(f"kind {kind!r} not servable; allowed: {list(SERVABLE_KINDS)}")
-    policies = _parse_policies(spec.get("policies", _DEFAULT_POLICIES))
-    seeds = _parse_seeds(spec.get("seeds", 1))
-    extra = _as_params(spec.get("params", {}), "params")
-    mesh_side = _int_field(spec, "mesh_side", 4)
-    repetitions = _int_field(spec, "repetitions", 3)
-    ack_loss = _float_field(spec, "ack_loss", 0.1)
-
-    tasks = []
-    for policy in policies:
-        for seed in seeds:
-            if kind == "replay":
-                params = {
-                    **extra,
-                    "policy": policy,
-                    "seed": seed,
-                    "mesh_side": mesh_side,
-                    "repetitions": repetitions,
-                }
-            elif kind == "fault":
-                params = {
-                    "policy": policy,
-                    "spec": {
-                        **extra,
-                        "seed": seed,
-                        "mesh_side": mesh_side,
-                        "repetitions": repetitions,
-                        "ack_loss": ack_loss,
-                    },
-                }
-            else:  # hotspot / pattern need their workload knobs in params
-                if "topology" not in extra:
-                    raise ValueError(
-                        f"{kind} grids need params.topology (e.g. 'mesh:8')"
-                    )
-                params = {**extra, "policy": policy, "seed": seed}
-            tasks.append(
-                SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
-            )
-    return tasks
 
 
 def grid_key(tasks: list[SimTask], version: str) -> str:

@@ -160,7 +160,7 @@ class Topology(ABC):
         questions for every packet — memoizing them turns per-packet graph
         walks into dict lookups (see docs/performance.md).  Installed
         automatically by :class:`repro.network.fabric.Fabric` and by
-        :func:`repro.parallel.tasks.make_topology`; idempotent.
+        :func:`repro.topology.make_topology`; idempotent.
 
         ``alternative_paths`` hits return a fresh list each call (the
         cached paths themselves are immutable tuples), so callers that

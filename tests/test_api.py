@@ -3,20 +3,25 @@
 import pytest
 
 import repro
-from repro.api import build_topology
 
 
-def test_build_topology_by_name():
-    assert repro.build_network(topology="mesh", width=4).topology.num_hosts == 16
-    assert build_topology("fattree", k=2, n=3).num_hosts == 8
-    assert build_topology("torus", width=4).kind == "torus2d"
-    assert build_topology("hypercube", dimensions=4).num_hosts == 16
+def test_build_network_takes_topology_specs():
+    assert repro.build_network(topology="mesh:4").topology.num_hosts == 16
+    assert repro.build_network(topology="fattree:2,3").topology.num_hosts == 8
+    assert repro.build_network(topology="torus:4").topology.kind == "torus2d"
+    assert repro.build_network(topology="hypercube:4").topology.num_hosts == 16
+    assert repro.build_network(topology="karyncube:4,3").topology.num_hosts == 64
     with pytest.raises(ValueError):
-        build_topology("klein-bottle")
+        repro.build_network(topology="klein-bottle:4")
+    # A misspelt or missing argument fails instead of building a default.
+    with pytest.raises(ValueError):
+        repro.build_network(topology="mesh")
+    with pytest.raises(TypeError):
+        repro.build_network(topology="mesh:4", widht=4)
 
 
 def test_build_network_wires_components():
-    net = repro.build_network(topology="mesh", width=4, policy="pr-drb")
+    net = repro.build_network(topology="mesh:4", policy="pr-drb")
     assert net.fabric.policy is net.policy
     assert net.policy.fabric is net.fabric
     assert net.recorder is net.fabric.recorder
@@ -41,7 +46,7 @@ def test_make_policy_names():
 
 
 def test_run_synthetic_end_to_end():
-    net = repro.build_network(topology="mesh", width=4, policy="drb")
+    net = repro.build_network(topology="mesh:4", policy="drb")
     result = repro.run_synthetic(
         net, pattern="perfect-shuffle", rate_mbps=400, duration_s=2e-4
     )
@@ -55,7 +60,7 @@ def test_run_synthetic_end_to_end():
 
 def test_run_synthetic_reproducible_with_seed():
     def run(seed):
-        net = repro.build_network(topology="mesh", width=4, policy="deterministic")
+        net = repro.build_network(topology="mesh:4", policy="deterministic")
         res = repro.run_synthetic(
             net, pattern="uniform", rate_mbps=200, duration_s=2e-4, seed=seed
         )
@@ -66,7 +71,7 @@ def test_run_synthetic_reproducible_with_seed():
 
 def test_run_synthetic_trims_to_power_of_two_hosts():
     # 3x3 mesh: 9 hosts -> pattern over 8.
-    net = repro.build_network(topology="mesh", width=3, policy="deterministic")
+    net = repro.build_network(topology="mesh:3", policy="deterministic")
     result = repro.run_synthetic(net, pattern="bit-reversal", rate_mbps=100, duration_s=2e-4)
     assert result.messages_sent > 0
     assert net.fabric.nodes[8].packets_injected == 0

@@ -31,14 +31,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 POLICIES = ("deterministic", "drb", "fr-drb", "pr-drb")
 
 
-def _params(policy):
-    return {"policy": policy, "seed": 0, "mesh_side": 4, "repetitions": 3}
+def _params(kind, policy, mesh_side=4, repetitions=3):
+    """Task params as the worker takes them: ``fault`` nests its scenario."""
+    scenario = {"seed": 0, "mesh_side": mesh_side, "repetitions": repetitions}
+    if kind == "fault":
+        return {"policy": policy, "spec": scenario}
+    return {"policy": policy, **scenario}
 
 
 @pytest.mark.parametrize("kind", ("replay", "fault"))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_interrupt_anywhere_bit_identical(tmp_path, kind, policy):
-    params = _params(policy)
+    params = _params(kind, policy)
     reference_context = build_context(kind, params)
     reference_context.sim.run(until=reference_context.until)
     reference = finish_context(reference_context)
@@ -68,13 +72,36 @@ def test_unknown_kind_rejected():
         build_context("mystery", {})
 
 
+def test_unknown_params_rejected():
+    # Flat scenario fields on a fault task used to be dropped silently.
+    with pytest.raises(SnapshotError, match="mesh_side"):
+        build_context("fault", {"policy": "drb", "seed": 0, "mesh_side": 6})
+    with pytest.raises(SnapshotError, match="mesh_sid"):
+        build_context("replay", {"mesh_sid": 6})
+
+
+def test_cli_save_fault_honours_scenario_flags(tmp_path, capsys):
+    """``save --kind fault --mesh-side 6`` used to build a 4x4 mesh."""
+    from repro.checkpoint.__main__ import main
+
+    ckpt = tmp_path / "c.ckpt"
+    assert main([
+        "save", "--kind", "fault", "--mesh-side", "6", "--repetitions", "5",
+        "--fraction", "0.25", str(ckpt),
+    ]) == 0
+    capsys.readouterr()
+    _header, resumed = load_scenario_checkpoint(ckpt)
+    assert resumed.fabric.topology.num_hosts == 36
+    assert resumed.workload.schedule.repetitions == 5
+
+
 def test_restore_is_oblivious_to_global_pid_counter(tmp_path):
     """A fresh process starts its packet-id counter at zero; a long-lived
     one has it far advanced.  Restore must pin it from the checkpoint so
     both resume identically."""
     from repro.network.packet import pid_counter_value, set_pid_counter
 
-    params = _params("pr-drb")
+    params = _params("replay", "pr-drb")
     context = build_context("replay", params)
     context.sim.run(until=context.until / 2)
     ckpt = tmp_path / "mid.ckpt"

@@ -15,7 +15,7 @@ def test_list_command(capsys):
 
 def test_simulate_command(capsys):
     code = main([
-        "simulate", "--topology", "mesh", "--width", "4",
+        "simulate", "--topology", "mesh:4",
         "--policy", "drb", "--pattern", "bit-reversal",
         "--rate-mbps", "300", "--duration-us", "200",
     ])
@@ -27,13 +27,20 @@ def test_simulate_command(capsys):
 
 def test_simulate_bursty(capsys):
     code = main([
-        "simulate", "--topology", "mesh", "--width", "4",
+        "simulate", "--topology", "mesh:4",
         "--policy", "pr-drb", "--bursts", "2",
         "--burst-on-us", "100", "--burst-off-us", "100",
         "--rate-mbps", "400",
     ])
     assert code == 0
     assert "policy: pr-drb" in capsys.readouterr().out
+
+
+def test_simulate_rejects_malformed_topology(capsys):
+    assert main(["simulate", "--topology", "mesh:4.5"]) == 2
+    assert "bad topology spec" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--width", "4"])
 
 
 def test_experiment_command(capsys):

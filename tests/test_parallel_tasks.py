@@ -105,6 +105,7 @@ class TestMakeTopology:
             ("slimtree:4,2,0.5", "SlimmedKaryNTree", 16),
             ("hypercube:4", "Hypercube", 16),
             ("dragonfly:4,2,2", "Dragonfly", 72),
+            ("karyncube:4,3", "KaryNCube", 64),
         ],
     )
     def test_builds_each_family(self, spec, cls_name, hosts):
@@ -124,7 +125,15 @@ class TestMakeTopology:
         slim = make_topology("slimtree:4,2,0.5")
         assert slim.num_hosts == 16
 
-    @pytest.mark.parametrize("spec", ["ring:4", "mesh", "mesh:abc", "fattree:4"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "ring:4", "mesh", "mesh:abc", "fattree:4",
+            # wrong arity or a non-integer where an integer belongs
+            "mesh:4,2", "mesh:4.5", "torus:4.9", "hypercube:6,1", "fattree:4,3,1",
+            "karyncube:4",
+        ],
+    )
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):
             make_topology(spec)

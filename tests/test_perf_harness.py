@@ -57,6 +57,15 @@ def test_replay_digests_bit_identical_to_baseline(baseline, policy):
     assert run.packets_delivered == expected["packets_delivered"]
 
 
+def test_gate_reaches_every_registered_policy():
+    """Every registered policy factory is gated under one of its names."""
+    from repro.routing.registry import _REGISTRY, parse_policy_spec
+
+    gated = {_REGISTRY[parse_policy_spec(name)[0]] for name in DEFAULT_POLICIES}
+    assert gated == set(_REGISTRY.values())
+    assert len(gated) == len(DEFAULT_POLICIES), "an alias is gated twice"
+
+
 def test_check_digests_flags_drift(baseline):
     tampered = copy.deepcopy(baseline)
     tampered["digests"]["drb"]["events"] = "0" * 64

@@ -72,6 +72,16 @@ class TestExpandGrid:
             ({"repetitions": [1]}, "repetitions"),
             ({"kind": "fault", "ack_loss": None}, "ack_loss"),
             ({"tasks": [{"kind": "replay", "params": 5}]}, r"tasks\[0\]\.params"),
+            # unknown or mistyped scenario fields: refused, never dropped
+            ({"kind": "replay", "params": {"mesh_sid": 8}}, "mesh_sid"),
+            ({"kind": "fault", "params": {"ack_los": 0.2}}, "ack_los"),
+            ({"kind": "fault", "params": {"reliability": {"max_retries": 2, "bogus": 1}}},
+             "bogus"),
+            ({"tasks": [{"kind": "replay", "params": {"sed": 1}}]},
+             r"tasks\[0\]\.params.*sed"),
+            ({"tasks": [{"kind": "fault", "params": {"policy": "drb", "seed": 1}}]},
+             "seed"),
+            ({"tasks": [{"kind": "replay", "params": {"mesh_side": 4.5}}]}, "mesh_side"),
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
