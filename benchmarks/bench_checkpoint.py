@@ -7,12 +7,13 @@ Three questions a crash-safe sweep deployment needs answered
   simulation size;
 * how long do ``save_scenario_checkpoint`` / ``load_scenario_checkpoint``
   take, i.e. what does one periodic checkpoint cost;
-* what throughput does the default 20k-event cadence cost end to end —
+* what throughput does the default 200k-event cadence cost end to end —
   asserted below 5%, the budget the default was chosen against.
 
-Before timing, it asserts the correctness invariant the numbers rest on:
-a cadence-checkpointed run's digests are bit-identical to an untouched
-run (the hook only observes event boundaries).
+It asserts the correctness invariant the numbers rest on, on the timed
+runs themselves: a cadence-checkpointed run's digests are bit-identical
+to an untouched run (the hook only observes event boundaries).  Every
+time and rate is a host-normalised median from :mod:`timing`.
 
 Standalone:
     PYTHONPATH=src python benchmarks/bench_checkpoint.py \
@@ -25,7 +26,6 @@ import argparse
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 from repro.analysis.replay import finish, run_scenario
@@ -34,6 +34,7 @@ from repro.checkpoint.runner import (
     load_scenario_checkpoint,
     save_scenario_checkpoint,
 )
+from timing import Timing, measure, pin_to_one_cpu, repeat, write_report
 
 #: (mesh_side, repetitions) points spanning small to sweep-sized cells.
 SIZES = ((4, 3), (6, 10), (6, 40))
@@ -49,15 +50,6 @@ PROBE_CADENCE = 10_000
 OVERHEAD_BUDGET = 0.05
 
 
-def _best(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.process_time()
-        fn()
-        best = min(best, time.process_time() - start)
-    return best
-
-
 def profile_size(mesh_side: int, repetitions: int, repeats: int, tmp: Path) -> dict:
     """Snapshot size + save/restore latency for one scenario size."""
     params = {"policy": "pr-drb", "seed": 0, "mesh_side": mesh_side,
@@ -66,34 +58,29 @@ def profile_size(mesh_side: int, repetitions: int, repeats: int, tmp: Path) -> d
     context.sim.run(until=context.until / 2)
     path = tmp / f"size_{mesh_side}x{repetitions}.ckpt"
 
-    save_s = _best(lambda: save_scenario_checkpoint(context, path), repeats)
-    restore_s = _best(lambda: load_scenario_checkpoint(path), repeats)
+    save = repeat(lambda: save_scenario_checkpoint(context, path), repeats=repeats)
+    restore = repeat(lambda: load_scenario_checkpoint(path), repeats=repeats)
     return {
         "mesh_side": mesh_side,
         "repetitions": repetitions,
         "events_at_snapshot": context.sim.events_executed,
         "snapshot_bytes": os.path.getsize(path),
-        "save_s": save_s,
-        "restore_s": restore_s,
+        "save_s": save.seconds,
+        "restore_s": restore.seconds,
+        "save_timing": save.report(),
+        "restore_timing": restore.report(),
     }
 
 
-def _run_with_cadence(params: dict, cadence, tmp: Path):
-    """Run one replay cell, optionally checkpointing every ``cadence``
-    events exactly as a resumable worker does; returns (digests, rate)."""
+def _with_cadence(params: dict, cadence: int, tmp: Path):
+    """A replay cell that checkpoints every ``cadence`` events exactly
+    as a resumable worker does."""
     context = build_context("replay", params)
-    if cadence:
-        path = tmp / "cadence.ckpt"
-        context.sim.set_checkpoint_cadence(
-            cadence, lambda: save_scenario_checkpoint(context, path)
-        )
-    start = time.process_time()
-    context.sim.run(until=context.until)
-    elapsed = time.process_time() - start
-    executed = context.sim.events_executed
-    context.sim.set_checkpoint_cadence(None)
-    result = finish(context).to_dict()
-    return result, (executed / elapsed if elapsed > 0 else 0.0), executed
+    path = tmp / "cadence.ckpt"
+    context.sim.set_checkpoint_cadence(
+        cadence, lambda: save_scenario_checkpoint(context, path)
+    )
+    return context
 
 
 def cadence_overhead(repeats: int, tmp: Path) -> dict:
@@ -109,27 +96,27 @@ def cadence_overhead(repeats: int, tmp: Path) -> dict:
     """
     params = {"policy": "pr-drb", "seed": 0, "mesh_side": 6, "repetitions": 40}
 
-    # Correctness first: the cadence hook must not perturb the digests.
-    plain, _, _ = _run_with_cadence(params, None, tmp)
-    hooked, _, _ = _run_with_cadence(params, PROBE_CADENCE, tmp)
-    assert hooked == plain, "cadence checkpointing perturbed the digests"
+    off, on = Timing(), Timing()
+    for _ in range(repeats):  # interleaved: a slow phase hits both alike
+        off += measure(lambda: build_context("replay", params), repeats=1)
+        on += measure(lambda: _with_cadence(params, PROBE_CADENCE, tmp), repeats=1)
 
-    rate_off = rate_on = 0.0
-    executed = 0
-    for _ in range(repeats):
-        _, rate, executed = _run_with_cadence(params, None, tmp)
-        rate_off = max(rate_off, rate)
-        _, rate, _ = _run_with_cadence(params, PROBE_CADENCE, tmp)
-        rate_on = max(rate_on, rate)
-    saves_per_run = executed // PROBE_CADENCE
-    probe_overhead = (rate_off - rate_on) / rate_off if rate_off else 0.0
-    # time_on - time_off, amortized over the snapshots that fired.
-    save_cost_s = (
-        (executed / rate_on - executed / rate_off) / saves_per_run
-        if rate_on and rate_off and saves_per_run
-        else 0.0
+    # The cadence hook must not perturb the digests of the timed runs.
+    digests = []
+    for context in off.results + on.results:
+        context.sim.set_checkpoint_cadence(None)
+        digests.append(finish(context).to_dict())
+    assert all(d == digests[0] for d in digests), (
+        "cadence checkpointing perturbed the digests"
     )
-    projected = save_cost_s * rate_off / DEFAULT_CADENCE if rate_off else 0.0
+
+    rate_off, rate_on = off.events_per_s, on.events_per_s
+    executed = off.events[0]
+    saves_per_run = executed // PROBE_CADENCE
+    probe_overhead = (rate_off - rate_on) / rate_off
+    # time_on - time_off, amortized over the snapshots that fired.
+    save_cost_s = (executed / rate_on - executed / rate_off) / saves_per_run
+    projected = save_cost_s * rate_off / DEFAULT_CADENCE
     return {
         "probe_cadence_events": PROBE_CADENCE,
         "default_cadence_events": DEFAULT_CADENCE,
@@ -137,6 +124,8 @@ def cadence_overhead(repeats: int, tmp: Path) -> dict:
         "probe_saves_per_run": saves_per_run,
         "events_per_s_off": rate_off,
         "events_per_s_probe": rate_on,
+        "timing_off": off.report(),
+        "timing_probe": on.report(),
         "probe_overhead": probe_overhead,
         "save_cost_s": save_cost_s,
         "default_cadence_overhead": projected,
@@ -149,6 +138,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_checkpoint.json")
     args = parser.parse_args(argv)
+    pin_to_one_cpu()
 
     # Resume correctness smoke: a restored cell finishes with the same
     # digests as an uninterrupted one (the exhaustive gate is
@@ -172,13 +162,12 @@ def main(argv=None) -> int:
         f"exceeds {OVERHEAD_BUDGET:.0%} budget"
     )
 
-    report = {
+    report = write_report(args.out, {
         "benchmark": "checkpoint",
         "repeats": args.repeats,
         "sizes": sizes,
         "cadence": cadence,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    })
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

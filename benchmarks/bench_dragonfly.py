@@ -2,29 +2,30 @@
 
 The acceptance gate of the notified-adaptive family: on the pinned
 ``dragonfly:4,2,2`` group-pair hot-spot (see
-:func:`repro.perf.run_pinned_dragonfly_workload`) the notification-driven
+:func:`repro.perf.pinned_dragonfly_spec`) the notification-driven
 policy must deliver at least **1.2x** the packets deterministic minimal
 routing manages, and every policy's same-seed replay must be
-bit-identical (the digest is a SHA-256 over the executed event stream).
-The report also records the harness's events/sec per policy so engine
+bit-identical (the digest is a SHA-256 over the executed event stream),
+which the timed runs themselves show.  The report also records each
+policy's host-normalised events/sec (:mod:`timing`) so engine
 regressions on the dragonfly path stay visible.
 
 Standalone:
     PYTHONPATH=src python benchmarks/bench_dragonfly.py \
         [--repeats 3] [--out BENCH_dragonfly.json]
 
-Under pytest-benchmark it additionally regenerates the FULL-scale
-``ext_dragonfly_hotspot`` / ``ext_dragonfly_noise`` scenario tables.
+The FULL-scale ``ext_dragonfly_hotspot`` / ``ext_dragonfly_noise``
+scenario tables run in ``bench_scenarios.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
-from pathlib import Path
 
-from repro.perf import run_pinned_dragonfly_workload
+from repro.analysis.replay import build
+from repro.perf import pinned_dragonfly_spec
+from timing import measure, pin_to_one_cpu, write_report
 
 #: throughput ratio the notified policy must clear over deterministic.
 THROUGHPUT_GATE = 1.2
@@ -33,25 +34,21 @@ POLICIES = ("deterministic", "notified-adaptive", "ugal")
 
 
 def profile_policy(policy: str, repeats: int) -> dict:
-    """Digest-checked counters plus best-of CPU-time event rate."""
-    runs = [run_pinned_dragonfly_workload(policy) for _ in range(2)]
-    assert runs[0]["digest"] == runs[1]["digest"], (
-        f"{policy}: same-seed dragonfly replay diverged"
-    )
-    best_rate = 0.0
-    for _ in range(repeats):
-        start = time.process_time()  # repro: allow(no-wall-clock)
-        result = run_pinned_dragonfly_workload(policy)
-        elapsed = time.process_time() - start  # repro: allow(no-wall-clock)
-        if elapsed > 0:
-            best_rate = max(best_rate, result["events_executed"] / elapsed)
+    """Counters and host-normalised event rate of ``repeats`` digested
+    runs; the timed runs themselves prove same-seed digest identity."""
+    timing = measure(lambda: build(pinned_dragonfly_spec(policy), digest=True),
+                     repeats=repeats)
+    digests = {scenario.trace.hexdigest() for scenario in timing.results}
+    assert len(digests) == 1, f"{policy}: same-seed dragonfly replay diverged"
+    scenario = timing.results[0]
     return {
-        "digest": runs[0]["digest"],
-        "events_executed": runs[0]["events_executed"],
-        "packets_injected": runs[0]["packets_injected"],
-        "packets_delivered": runs[0]["packets_delivered"],
-        "events_per_s": round(best_rate, 1),
-        "policy_stats": runs[0]["policy_stats"],
+        "digest": digests.pop(),
+        "events_executed": scenario.sim.events_executed,
+        "packets_injected": scenario.fabric.data_packets_injected,
+        "packets_delivered": scenario.fabric.data_packets_delivered,
+        "events_per_s": round(timing.events_per_s, 1),
+        "timing": timing.report(),
+        "policy_stats": scenario.policy_obj.stats(),
     }
 
 
@@ -83,44 +80,28 @@ def check_report(report: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# pytest-benchmark entry points
+# pytest-benchmark entry point
 # ----------------------------------------------------------------------
 
 def bench_dragonfly_throughput_gate(benchmark):
     """Pinned-workload gate: digest identity + 1.2x throughput."""
-    report = benchmark.pedantic(build_report, args=(1,), rounds=1, iterations=1)
+    report = benchmark.pedantic(build_report, args=(2,), rounds=1, iterations=1)
     check_report(report)
-
-
-def bench_dragonfly_hotspot_scenario(benchmark):
-    """FULL-scale EXT-dragonfly scenario table."""
-    from repro.experiments.config import FULL
-    from repro.experiments.scenarios import ext_dragonfly_hotspot
-
-    from conftest import run_scenario
-
-    run_scenario(benchmark, ext_dragonfly_hotspot, FULL)
-
-
-def bench_dragonfly_noise_scenario(benchmark):
-    """FULL-scale EXT-dragonfly-noise scenario table."""
-    from repro.experiments.config import FULL
-    from repro.experiments.scenarios import ext_dragonfly_noise
-
-    from conftest import run_scenario
-
-    run_scenario(benchmark, ext_dragonfly_noise, FULL)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="timed runs per policy (>= 2: they are digest-compared)")
     parser.add_argument("--out", default="BENCH_dragonfly.json")
     args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be >= 2")
+    pin_to_one_cpu()
 
     report = build_report(args.repeats)
     check_report(report)
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report = write_report(args.out, report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -6,7 +6,9 @@ plus a cadence-snapshotting :class:`~repro.obs.MetricsRegistry`, and
 ``served`` (tracer + metrics whose snapshots publish into a live
 :class:`~repro.obs.MetricsBus` with one draining SSE-style subscriber —
 the full ``repro.serve`` telemetry plane) — and records the event-rate
-cost of each into ``BENCH_obs.json`` at the repo root.  The ``served``
+cost of each into ``BENCH_obs.json`` at the repo root.  Rates are the
+host-normalised medians of :mod:`timing`, with the four modes
+interleaved inside every repeat.  The ``served``
 leg must cost < 10 % over ``traced+metrics``: bus publication is one
 lock-bookkeeping hop plus a non-blocking queue offer per snapshot.
 Before timing anything it asserts the PR's two invariants:
@@ -25,13 +27,22 @@ Standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import threading
-import time
+from contextlib import contextmanager, nullcontext
 
+from repro.analysis.replay import build, run_scenario
 from repro.obs import MemorySink, MetricsBus, MetricsRegistry, Tracer
-from repro.perf import run_pinned_workload
+from repro.perf import check_digests, load_baseline, pinned_hotspot_spec, run_pinned_workload
+from timing import Timing, measure, pin_to_one_cpu, write_report
 
+#: mode -> factory of the observers ``build`` attaches in that mode.
+MODES = {
+    "off": dict,
+    "traced": lambda: {"tracer": Tracer(sinks=[MemorySink()])},
+    "traced+metrics": lambda: {"tracer": Tracer(sinks=[MemorySink()]),
+                               "metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},
+}
+MODES["served"] = MODES["traced+metrics"]
 
 def bench_traced_pinned_run(benchmark):
     """pytest-benchmark entry: pinned pr-drb workload with a live tracer."""
@@ -44,51 +55,45 @@ def bench_traced_pinned_run(benchmark):
     assert executed == 60_000
 
 
-def _rate(policy: str, events: int, repeats: int, mode: str) -> float:
-    """Best-of-``repeats`` event rate (events/sec CPU) for one mode."""
-    best = 0.0
+@contextmanager
+def served(metrics: MetricsRegistry):
+    """The full telemetry plane: every cadence snapshot publishes into a
+    bus with one live subscriber draining from another thread, exactly
+    as an attached SSE consumer would."""
+    bus = MetricsBus()
+    subscription = bus.subscribe()
+    stop_draining = threading.Event()
+
+    def drain() -> None:
+        while not stop_draining.is_set():
+            subscription.get(timeout=0.05)
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
+    metrics.on_snapshot = lambda snap: bus.publish("cell.metrics", {"snapshot": snap})
+    try:
+        yield
+    finally:
+        # process_time counts every thread: the drainer must be gone
+        # before the next mode's timed run.
+        stop_draining.set()
+        drainer.join()
+    assert bus.published > 0, "served leg published no snapshots"
+
+
+def rate_modes(policy: str, events: int, repeats: int) -> dict[str, Timing]:
+    """Time every mode ``repeats`` times, the modes interleaved inside
+    each repeat so a slow phase of the host hits every mode alike."""
+    timings = {mode: Timing() for mode in MODES}
     for _ in range(repeats):
-        tracer = None
-        metrics = None
-        cadence = None
-        bus = None
-        drainer = None
-        stop_draining = None
-        if mode in ("traced", "traced+metrics", "served"):
-            tracer = Tracer(sinks=[MemorySink()])
-        if mode in ("traced+metrics", "served"):
-            metrics = MetricsRegistry()
-            cadence = 5e-5
-        if mode == "served":
-            # The full telemetry plane: every cadence snapshot publishes
-            # into a bus with one live subscriber draining from another
-            # thread, exactly as an attached SSE consumer would.
-            bus = MetricsBus()
-            subscription = bus.subscribe()
-            stop_draining = threading.Event()
-
-            def drain() -> None:
-                while not stop_draining.is_set():
-                    subscription.get(timeout=0.05)
-
-            drainer = threading.Thread(target=drain, daemon=True)
-            drainer.start()
-            metrics.on_snapshot = lambda snap: bus.publish(
-                "cell.metrics", {"snapshot": snap}
-            )
-        start = time.process_time()
-        executed = run_pinned_workload(
-            policy, events, tracer=tracer, metrics=metrics,
-            metrics_cadence_s=cadence,
-        )
-        elapsed = time.process_time() - start
-        if stop_draining is not None:
-            stop_draining.set()
-            drainer.join()
-            assert bus.published > 0, "served leg published no snapshots"
-        if elapsed > 0:
-            best = max(best, executed / elapsed)
-    return best
+        for mode, observers in MODES.items():
+            kwargs = observers()
+            with served(kwargs["metrics"]) if mode == "served" else nullcontext():
+                timings[mode] += measure(
+                    lambda: build(pinned_hotspot_spec(policy), **kwargs),
+                    repeats=1, max_events=events,
+                )
+    return timings
 
 
 def main(argv=None) -> int:
@@ -98,28 +103,24 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_obs.json")
     args = parser.parse_args(argv)
+    pin_to_one_cpu()
 
     # Invariant 1: tracing off keeps the committed perf digests.
-    from repro.perf import check_digests, load_baseline
-
     digest_results = check_digests([args.policy], load_baseline())
     assert digest_results[args.policy]["ok"], "digest drift: see repro.perf"
 
     # Invariant 2: tracing on does not perturb behavior.
-    from repro.analysis.replay import run_scenario
-
     bare = run_scenario(seed=0, policy=args.policy, repetitions=2)
     traced = run_scenario(
         seed=0, policy=args.policy, repetitions=2, tracer=Tracer()
     )
     assert bare.events == traced.events and bare.metrics == traced.metrics
 
-    rates = {
-        mode: _rate(args.policy, args.events, args.repeats, mode)
-        for mode in ("off", "traced", "traced+metrics", "served")
-    }
+    timings = rate_modes(args.policy, args.events, args.repeats)
+    assert all(t.events == [args.events] * args.repeats for t in timings.values())
+    rates = {mode: timing.events_per_s for mode, timing in timings.items()}
     overhead = {
-        mode: (rates["off"] - rate) / rates["off"] if rates["off"] else 0.0
+        mode: (rates["off"] - rate) / rates["off"]
         for mode, rate in rates.items()
         if mode != "off"
     }
@@ -127,26 +128,23 @@ def main(argv=None) -> int:
     # < 10 % slower than traced+metrics (usually indistinguishable).
     served_vs_instrumented = (
         (rates["traced+metrics"] - rates["served"]) / rates["traced+metrics"]
-        if rates["traced+metrics"] else 0.0
     )
     assert served_vs_instrumented < 0.10, (
         f"served leg costs {served_vs_instrumented:.1%} over traced+metrics "
         "(budget 10%)"
     )
-    report = {
+    write_report(args.out, {
         "benchmark": "obs_overhead",
         "policy": args.policy,
         "events": args.events,
         "repeats": args.repeats,
         "events_per_s": {k: round(v, 1) for k, v in rates.items()},
+        "modes": {mode: timing.report() for mode, timing in timings.items()},
         "overhead_fraction": {k: round(v, 4) for k, v in overhead.items()},
         "served_vs_traced_metrics": round(served_vs_instrumented, 4),
         "digests_bit_identical_tracing_off": True,
         "behavior_identical_tracing_on": True,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     for mode, rate in rates.items():
         extra = (
             f"  ({overhead[mode]:+.1%} vs off)" if mode in overhead else ""

@@ -8,7 +8,10 @@ bit-identity across all three, and writes the measurements to
 
 The >= 2x speedup assertion only applies on machines with >= 4 physical
 cores (CI runners); on smaller boxes the numbers are still recorded,
-honestly, with the core count alongside.
+honestly, with the core count alongside.  A process pool is not one CPU,
+so this bench keeps the orchestrator's wall times and neither pins
+itself to a core nor host-normalises; it shares only the report writer
+(and its provenance block) with the other benches.
 
 Standalone:
     PYTHONPATH=src python benchmarks/bench_parallel_orchestrator.py \
@@ -32,6 +35,7 @@ from repro.experiments.config import (
 )
 from repro.parallel import SimTask, SweepConfig, run_sweep
 from repro.parallel.tasks import canonical_json
+from timing import write_report
 
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 REPETITIONS = 3
@@ -153,9 +157,7 @@ def run_bench(policies=DEFAULT_POLICIES, n_seeds=8, workers=None, out="BENCH_par
         if parallel.wall_s > 0 else 0.0,
         "speedup_assertion": speedup_assertion,
     }
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    payload = write_report(out, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if speedup_assertion["checked"]:
         assert speedup >= 2.0, (

@@ -57,7 +57,7 @@ def main() -> int:
         body = result.render()
         sections.append(
             f"## {result.experiment_id} — {result.title}\n\n"
-            f"Bench: `benchmarks/bench_{name}.py` — wall {wall:.1f}s\n\n"
+            f"Bench: `benchmarks/bench_scenarios.py::bench_scenario[{name}]` — wall {wall:.1f}s\n\n"
             "```\n" + body + "\n```\n"
         )
     text = HEADER.format(scale=scale.name, passed=passed, total=len(ALL_SCENARIOS))

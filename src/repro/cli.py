@@ -20,14 +20,18 @@ from repro import __version__
 def _cmd_list(args) -> int:
     from repro.apps import APP_TRACES
     from repro.experiments.scenarios import ALL_SCENARIOS
+    from repro.routing import policy_aliases
     from repro.traffic.patterns import PATTERNS
 
     print("experiments:")
     for name, fn in ALL_SCENARIOS.items():
         doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
         print(f"  {name:24s} {doc}")
-    print("\npolicies: deterministic cyclic random adaptive drb pr-drb fr-drb pr-fr-drb")
-    print(f"patterns: {' '.join(sorted(PATTERNS))} uniform")
+    print("\npolicies:")
+    for name, aliases in sorted(policy_aliases().items()):
+        also = f"(alias {', '.join(aliases)})" if aliases else ""
+        print(f"  {name:24s} {also}".rstrip())
+    print(f"\npatterns: {' '.join(sorted(PATTERNS))} uniform")
     print(f"app traces: {' '.join(sorted(APP_TRACES))}")
     return 0
 

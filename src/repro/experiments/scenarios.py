@@ -389,6 +389,7 @@ def _permutation_experiment(
 
 
 def fig_4_13_14_shuffle_32(scale: Scale = QUICK) -> ExperimentResult:
+    """Figs 4.13-4.14: perfect-shuffle latency on a 32-node fat-tree."""
     return _permutation_experiment(
         "F4.13-14", "perfect-shuffle", 32, 600,
         "PR-DRB 29 % (low load) / 22 % (high load) lower latency than DRB.",
@@ -397,6 +398,7 @@ def fig_4_13_14_shuffle_32(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def fig_4_15_16_bitrev_32(scale: Scale = QUICK) -> ExperimentResult:
+    """Figs 4.15-4.16: bit-reversal latency on a 32-node fat-tree."""
     return _permutation_experiment(
         "F4.15-16", "bit-reversal", 32, 600,
         "PR-DRB ~23 % (400 Mbps) / ~18 % (600 Mbps) latency reduction; "
@@ -406,6 +408,7 @@ def fig_4_15_16_bitrev_32(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def fig_4_17_18_transpose_64(scale: Scale = QUICK) -> ExperimentResult:
+    """Figs 4.17-4.18: matrix-transpose latency on a 64-node fat-tree."""
     return _permutation_experiment(
         "F4.17-18", "matrix-transpose", 64, 400,
         "PR-DRB ~31 % (400 Mbps) / ~40 % (600 Mbps) latency reduction.",
@@ -414,6 +417,7 @@ def fig_4_17_18_transpose_64(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def fig_a_1_2_transpose_32(scale: Scale = QUICK) -> ExperimentResult:
+    """Figs A.1-A.2: matrix-transpose latency on a 32-node fat-tree."""
     return _permutation_experiment(
         "FA.1-2", "matrix-transpose", 32, 400,
         "Appendix: PR-DRB below DRB for matrix transpose, 32 nodes.",
@@ -422,6 +426,7 @@ def fig_a_1_2_transpose_32(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def fig_a_3_shuffle_64(scale: Scale = QUICK) -> ExperimentResult:
+    """Fig. A.3: perfect-shuffle latency on a 64-node fat-tree."""
     return _permutation_experiment(
         "FA.3", "perfect-shuffle", 64, 400,
         "Appendix: PR-DRB below DRB for shuffle, 64 nodes, 400 Mbps.",
@@ -430,6 +435,7 @@ def fig_a_3_shuffle_64(scale: Scale = QUICK) -> ExperimentResult:
 
 
 def fig_a_4_bitrev_64(scale: Scale = QUICK) -> ExperimentResult:
+    """Fig. A.4: bit-reversal latency on a 64-node fat-tree."""
     return _permutation_experiment(
         "FA.4", "bit-reversal", 64, 400,
         "Appendix: PR-DRB below DRB for bit reversal, 64 nodes, 400 Mbps.",

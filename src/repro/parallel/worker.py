@@ -19,7 +19,8 @@ Task kinds
     One (policy, seed) cell of
     :func:`repro.experiments.runner.run_hotspot_workload` /
     :func:`~repro.experiments.runner.run_pattern_workload` on a
-    declarative topology spec; result is a lossless
+    declarative topology spec, its params parsed by
+    :func:`repro.parallel.tasks.workload_kwargs`; result is a lossless
     :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
 ``fault``
     One policy's seeded fault scenario through the same spine; result
@@ -46,7 +47,7 @@ import os
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.parallel.tasks import SCENARIO_KINDS, SimTask, json_safe
+from repro.parallel.tasks import SCENARIO_KINDS, SimTask, json_safe, workload_kwargs
 
 __all__ = [
     "CHECKPOINTED_EXIT",
@@ -104,49 +105,12 @@ def _run_fault(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) 
     return _run_spec("fault", params, tracer, metrics, metrics_cadence_s)
 
 
-def _build_schedule(params: Optional[dict]):
-    from repro.traffic.bursty import BurstSchedule
-
-    if params is None:
-        return None
-    return BurstSchedule(
-        on_s=float(params["on_s"]),
-        off_s=float(params["off_s"]),
-        start_s=float(params.get("start_s", 0.0)),
-        repetitions=(
-            None if params.get("repetitions") is None
-            else int(params["repetitions"])
-        ),
-    )
-
-
-def _build_config(params: Optional[dict]):
-    from repro.network.config import NetworkConfig
-
-    return None if params is None else NetworkConfig(**params)
-
-
 def _run_hotspot(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
     from repro.experiments.runner import run_hotspot_workload
 
     runs = run_hotspot_workload(
-        params["topology"],
-        [params["policy"]],
-        [tuple(flow) for flow in params["flows"]],
-        rate_mbps=float(params["rate_mbps"]),
-        schedule=_build_schedule(params["schedule"]),
-        noise_rate_mbps=float(params.get("noise_rate_mbps", 0.0)),
-        idle_rate_mbps=float(params.get("idle_rate_mbps", 0.0)),
-        drain_s=float(params.get("drain_s", 1e-3)),
-        seeds=(int(params.get("seed", 0)),),
-        config=_build_config(params.get("config")),
-        notification=str(params.get("notification", "destination")),
-        window_s=float(params.get("window_s", 50e-6)),
-        track_routers=bool(params.get("track_routers", False)),
-        policy_kwargs=params.get("policy_kwargs"),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
+        **workload_kwargs("hotspot", params),
+        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
     )
     return runs[params["policy"]].to_dict()
 
@@ -154,26 +118,9 @@ def _run_hotspot(params: dict, tracer=None, metrics=None, metrics_cadence_s=None
 def _run_pattern(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
     from repro.experiments.runner import run_pattern_workload
 
-    hosts = params.get("hosts")
     runs = run_pattern_workload(
-        params["topology"],
-        [params["policy"]],
-        params["pattern"],
-        rate_mbps=float(params["rate_mbps"]),
-        hosts=None if hosts is None else [int(h) for h in hosts],
-        schedule=_build_schedule(params.get("schedule")),
-        duration_s=float(params.get("duration_s", 1e-3)),
-        drain_s=float(params.get("drain_s", 1e-3)),
-        seeds=(int(params.get("seed", 0)),),
-        config=_build_config(params.get("config")),
-        notification=str(params.get("notification", "destination")),
-        window_s=float(params.get("window_s", 50e-6)),
-        track_routers=bool(params.get("track_routers", False)),
-        idle_rate_mbps=float(params.get("idle_rate_mbps", 0.0)),
-        policy_kwargs=params.get("policy_kwargs"),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
+        **workload_kwargs("pattern", params),
+        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
     )
     return runs[params["policy"]].to_dict()
 

@@ -1,47 +1,38 @@
-"""Digest-gated performance-regression harness (``python -m repro.perf``).
+"""Digest gate and pinned workloads (``python -m repro.perf``).
 
 The hot-path optimizations in :mod:`repro.sim.engine`,
 :mod:`repro.network` and :mod:`repro.core` are only admissible if they
 change *nothing* observable: the rule (docs/performance.md) is **no
-optimization without a digest match**.  This harness enforces it:
+optimization without a digest match**.  The gate enforces it: replay the
+seeded :func:`repro.analysis.replay` scenario for every routing policy
+and compare the event-trace and metrics digests against the committed
+``baseline.json``.  Any drift is a hard failure (exit code 1): the
+"optimization" changed simulation behavior and must be fixed or the
+baseline consciously re-recorded with ``--update-baseline``.
 
-1. **Digest gate** — replay the seeded :func:`repro.analysis.replay`
-   scenario for every routing policy and compare the event-trace and
-   metrics digests against the committed ``baseline.json``.  Any drift is
-   a hard failure (exit code 1): the "optimization" changed simulation
-   behavior and must be fixed or the baseline consciously re-recorded
-   with ``--update-baseline``.
-2. **Throughput watch** — run the pinned hot-spot workload (the same one
-   ``scripts/profile_sim.py`` profiles) per policy and compare events/sec
-   against the recorded pre-optimization baseline.  Rates are machine-
-   and load-dependent, so a slowdown beyond the tolerance only *warns*;
-   it never fails CI.
-
-The report is written to ``BENCH_engine.json`` (override with ``--out``)
-with a per-policy breakdown: digests, events/sec, and speedup over the
-recorded baseline.
+The module also pins the workloads the benchmarks time
+(:func:`pinned_hotspot_spec`, :func:`pinned_dragonfly_spec`).  It reads
+no clock: ``benchmarks/bench_engine_throughput.py`` rates every policy
+on the pinned hot-spot, host-normalised, against the committed
+``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 __all__ = [
     "DEFAULT_POLICIES",
     "BASELINE_PATH",
-    "RATE_REGRESSION_TOLERANCE",
     "load_baseline",
     "check_digests",
     "pinned_dragonfly_spec",
     "pinned_hotspot_spec",
     "run_pinned_workload",
     "run_pinned_dragonfly_workload",
-    "measure_events_per_s",
-    "run_suite",
     "main",
 ]
 
@@ -53,11 +44,8 @@ DEFAULT_POLICIES = (
     "notified-adaptive", "ugal",
 )
 
-#: Committed baseline: replay digests + pre-optimization event rates.
+#: Committed baseline: the replay scenario and its per-policy digests.
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
-
-#: Events/sec may regress by up to this fraction before the harness warns.
-RATE_REGRESSION_TOLERANCE = 0.20
 
 
 def load_baseline(path: Optional[Path] = None) -> dict:
@@ -112,9 +100,9 @@ def pinned_hotspot_spec(policy: str, seed: int = 0, repetitions: int = 50):
     An 8x8 mesh with four colliding hot-spot flows under a repeated
     on/off burst schedule — the congested steady state whose profile
     drove the engine/network optimizations (docs/performance.md).  The
-    parameters are mirrored in ``baseline.json``'s ``workload`` block and
-    must not drift, or recorded rates stop being comparable.  No drain:
-    callers stop it with ``max_events``.
+    parameters must not drift, or the rates in ``BENCH_engine.json``
+    stop being comparable.  No drain: callers stop it with
+    ``max_events``.
     """
     from repro.analysis.replay import ScenarioSpec
 
@@ -152,8 +140,8 @@ def run_pinned_workload(
     metrics_cadence_s: Optional[float] = None,
 ) -> int:
     """Run :func:`pinned_hotspot_spec` for ``max_events``; return events
-    executed.  The throughput timers' run: no event digest, and the
-    optional ``tracer``/``metrics`` observe only."""
+    executed.  No event digest; the optional ``tracer``/``metrics``
+    observe only."""
     from repro.analysis.replay import build
 
     scenario = build(
@@ -182,119 +170,12 @@ def run_pinned_dragonfly_workload(
     }
 
 
-def measure_events_per_s(
-    policy: str, max_events: int = 200_000, repeats: int = 3
-) -> float:
-    """Best-of-``repeats`` event rate for ``policy`` on the pinned workload.
-
-    Uses CPU time, not wall time: on a loaded box the best-of CPU-time
-    rate is the least noisy throughput estimate (interference only ever
-    slows a run down).  This measures the harness itself, not simulated
-    behavior, so the wall-clock lint is deliberately suppressed.
-    """
-    best = 0.0
-    for _ in range(repeats):
-        start = time.process_time()  # repro: allow(no-wall-clock)
-        executed = run_pinned_workload(policy, max_events)
-        elapsed = time.process_time() - start  # repro: allow(no-wall-clock)
-        if elapsed > 0:
-            rate = executed / elapsed
-            if rate > best:
-                best = rate
-    return best
-
-
-# ----------------------------------------------------------------------
-# Suite driver
-# ----------------------------------------------------------------------
-def run_suite(
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    baseline: Optional[dict] = None,
-    quick: bool = False,
-) -> dict:
-    """Digest gate + throughput watch; returns the full report dict.
-
-    ``quick`` shrinks the throughput measurement (fewer events, one
-    repeat) for CI smoke runs; the digest gate is identical in both
-    modes.  The report's ``digest_ok`` key is the pass/fail verdict.
-    """
-    if baseline is None:
-        baseline = load_baseline()
-    digest_results = check_digests(policies, baseline)
-    digest_ok = all(r["ok"] for r in digest_results.values())
-
-    max_events = 60_000 if quick else int(
-        baseline.get("workload", {}).get("max_events", 200_000)
-    )
-    repeats = 1 if quick else 3
-    baseline_rates = baseline.get("baseline_events_per_s", {})
-
-    per_policy: dict[str, dict] = {}
-    warnings: list[str] = []
-    for policy in policies:
-        rate = measure_events_per_s(policy, max_events, repeats)
-        entry: dict = {
-            "events_per_s": round(rate, 1),
-            "digest_ok": digest_results[policy]["ok"],
-        }
-        base_rate = baseline_rates.get(policy)
-        if base_rate:
-            entry["baseline_events_per_s"] = base_rate
-            entry["speedup"] = round(rate / base_rate, 3)
-            if rate < base_rate * (1.0 - RATE_REGRESSION_TOLERANCE):
-                warnings.append(
-                    f"{policy}: {rate:.0f} ev/s is >"
-                    f"{RATE_REGRESSION_TOLERANCE:.0%} below the recorded "
-                    f"baseline {base_rate:.0f} ev/s (machine-dependent; "
-                    "not a failure)"
-                )
-        per_policy[policy] = entry
-
-    measured = [
-        p["speedup"] for p in per_policy.values() if "speedup" in p
-    ]
-    report = {
-        "digest_ok": digest_ok,
-        "quick": quick,
-        "max_events": max_events,
-        "policies": per_policy,
-        "digests": {
-            p: r["got"] for p, r in digest_results.items()
-        },
-        "aggregate_speedup": (
-            round(sum(measured) / len(measured), 3) if measured else None
-        ),
-        "warnings": warnings,
-        "workload": baseline.get("workload"),
-        "scenario": baseline.get("scenario"),
-    }
-    return report
-
-
-def _updated_baseline(report: dict, baseline: dict) -> dict:
-    """Fold a report's digests and rates into a new baseline dict."""
-    return {
-        "baseline_events_per_s": {
-            p: entry["events_per_s"]
-            for p, entry in report["policies"].items()
-        },
-        "digests": report["digests"],
-        "scenario": baseline["scenario"],
-        "workload": baseline["workload"],
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="digest-gated perf-regression harness",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: same digest gate, shorter throughput run",
+        description="digest gate: replay every policy against baseline.json",
     )
     parser.add_argument(
         "--policies",
@@ -310,54 +191,49 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path("BENCH_engine.json"),
-        help="report output path (default: BENCH_engine.json)",
+        default=None,
+        help="also write the digest report to this path",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="re-record digests and rates into the baseline file "
+        help="re-record the digests into the baseline file "
         "(a conscious act: review the behavior change first)",
     )
     args = parser.parse_args(argv)
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     baseline = load_baseline(args.baseline)
-    report = run_suite(policies, baseline=baseline, quick=args.quick)
-
-    args.out.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for policy, entry in report["policies"].items():
-        mark = "ok " if entry["digest_ok"] else "FAIL"
-        speed = (
-            f"{entry['speedup']:.2f}x vs baseline"
-            if "speedup" in entry
-            else "no baseline rate"
-        )
-        print(
-            f"[{mark}] {policy:<14} {entry['events_per_s']:>10.0f} ev/s "
-            f"({speed})"
-        )
-    for warning in report["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
+    results = check_digests(policies, baseline)
+    digest_ok = all(r["ok"] for r in results.values())
+    digests = {p: r["got"] for p, r in results.items()}
+    for policy, result in results.items():
+        print(f"[{'ok ' if result['ok'] else 'FAIL'}] {policy}")
+    if args.out is not None:
+        args.out.write_text(json.dumps({
+            "digest_ok": digest_ok,
+            "digests": digests,
+            "scenario": baseline["scenario"],
+        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"report: {args.out}")
 
     if args.update_baseline:
         target = args.baseline or BASELINE_PATH
+        updated = {
+            "digests": {**baseline["digests"], **digests},
+            "scenario": baseline["scenario"],
+        }
         target.write_text(
-            json.dumps(_updated_baseline(report, baseline), indent=2,
-                       sort_keys=True) + "\n",
-            encoding="utf-8",
+            json.dumps(updated, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         print(f"baseline updated: {target}")
         return 0
 
-    if not report["digest_ok"]:
+    if not digest_ok:
         print(
             "digest mismatch: simulation behavior drifted from the "
             "committed baseline (see docs/performance.md)",
             file=sys.stderr,
         )
         return 1
-    print(f"report: {args.out}")
     return 0

@@ -24,6 +24,7 @@ from repro.routing.registry import (
     config_factory,
     make_policy,
     parse_policy_spec,
+    policy_aliases,
     register,
     registered_policies,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "config_factory",
     "make_policy",
     "parse_policy_spec",
+    "policy_aliases",
     "register",
     "registered_policies",
 ]

@@ -25,6 +25,7 @@ __all__ = [
     "config_factory",
     "make_policy",
     "parse_policy_spec",
+    "policy_aliases",
     "register",
     "registered_policies",
 ]
@@ -68,6 +69,15 @@ def register(
 def registered_policies() -> tuple[str, ...]:
     """All registered names (aliases included), sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def policy_aliases() -> dict[str, tuple[str, ...]]:
+    """One entry per registered factory, in registration order: the
+    name it was registered under, mapped to its aliases."""
+    names: dict[Callable[..., RoutingPolicy], list[str]] = {}
+    for key, factory in _REGISTRY.items():
+        names.setdefault(factory, []).append(key)
+    return {keys[0]: tuple(keys[1:]) for keys in names.values()}
 
 
 def config_factory(

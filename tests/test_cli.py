@@ -6,11 +6,21 @@ from repro.cli import build_parser, main
 
 
 def test_list_command(capsys):
+    from repro.experiments.scenarios import ALL_SCENARIOS
+    from repro.routing import registered_policies
+
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig_4_13_14" in out
     assert "pr-drb" in out
     assert "perfect-shuffle" in out
+    words = set(out.replace(",", " ").replace(")", " ").split())
+    missing = [name for name in registered_policies() if name not in words]
+    assert not missing, f"policies missing from `repro list`: {missing}"
+    # Every scenario line carries its description.
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+    blank = [name for name in ALL_SCENARIOS if len(lines[name].split()) < 2]
+    assert not blank, f"scenarios without a description: {blank}"
 
 
 def test_simulate_command(capsys):

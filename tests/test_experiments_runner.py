@@ -115,6 +115,34 @@ def test_run_hotspot_workload_produces_contention():
     assert runs["deterministic"].map_peak_s > 0
 
 
+@pytest.mark.parametrize("kind", ["hotspot", "pattern"])
+def test_sweep_cells_parse_and_match_serial(kind):
+    """Every cell a runner fans out parses, and runs to the serial result."""
+    from repro.parallel import SweepConfig, SweepExecutor
+    from repro.parallel.tasks import workload_kwargs
+
+    class Recording(SweepExecutor):
+        def run_strict(self, tasks):
+            for task in tasks:
+                workload_kwargs(task.kind, task.params)
+            return super().run_strict(tasks)
+
+    sched = BurstSchedule(on_s=1e-4, off_s=1e-4, repetitions=2)
+    if kind == "hotspot":
+        def run(**kw):
+            return run_hotspot_workload("mesh:4", ["deterministic", "drb"], [(0, 15)],
+                                        rate_mbps=400, schedule=sched, drain_s=5e-4, **kw)
+    else:
+        def run(**kw):
+            return run_pattern_workload("mesh:4", ["deterministic", "drb"], "bit-reversal",
+                                        rate_mbps=400, schedule=sched, drain_s=5e-4, **kw)
+    swept = run(executor=Recording(SweepConfig(code_version="test")))
+    serial = run()
+    assert {p: r.to_dict() for p, r in swept.items()} == {
+        p: r.to_dict() for p, r in serial.items()
+    }
+
+
 def test_run_app_workload_reports_execution_time():
     runs = run_app_workload(
         lambda: Mesh2D(4),

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from repro.parallel.tasks import workload_kwargs
 from repro.serve.jobs import Job, JobStore, expand_grid, grid_key
+
+
+SCHEDULE = {"on_s": 1e-4, "off_s": 1e-4, "repetitions": 2}
+HOTSPOT = {"topology": "mesh:4", "flows": [[0, 15]], "rate_mbps": 400, "schedule": SCHEDULE}
+PATTERN = {"topology": "mesh:4", "pattern": "bit-reversal", "rate_mbps": 400}
 
 
 class TestExpandGrid:
@@ -35,6 +41,14 @@ class TestExpandGrid:
     def test_hotspot_requires_topology(self):
         with pytest.raises(ValueError, match="topology"):
             expand_grid({"kind": "hotspot", "policies": ["drb"], "seeds": 1})
+
+    def test_workload_grid_params_pass_through_unchanged(self):
+        for kind, extra in (("hotspot", HOTSPOT), ("pattern", PATTERN)):
+            tasks = expand_grid({"kind": kind, "policies": ["drb"], "seeds": 1,
+                                 "params": extra})
+            assert tasks[0].params == {**extra, "policy": "drb", "seed": 0}
+            parsed = workload_kwargs(kind, tasks[0].params)
+            assert (parsed["policies"], parsed["seeds"]) == (["drb"], (0,))
 
     def test_explicit_task_list_passthrough(self):
         tasks = expand_grid({
@@ -82,6 +96,23 @@ class TestExpandGrid:
             ({"tasks": [{"kind": "fault", "params": {"policy": "drb", "seed": 1}}]},
              "seed"),
             ({"tasks": [{"kind": "replay", "params": {"mesh_side": 4.5}}]}, "mesh_side"),
+            # hotspot / pattern cells: refused at POST, not failed in the worker
+            ({"kind": "hotspot", "params": {"topology": "mesh:8"}}, "flows"),
+            ({"kind": "hotspot", "params": {**HOTSPOT, "rate_mbps": "fast"}}, "rate_mbps"),
+            ({"kind": "pattern", "params": {**PATTERN, "bogus": 1}}, "bogus"),
+            ({"kind": "pattern", "params": {**PATTERN, "windw_s": 1.0}}, "windw_s"),
+            ({"kind": "hotspot", "params": {**HOTSPOT, "schedule": {"on_s": 1e-4, "off_s": 0.0}}},
+             "repetitions"),
+            ({"kind": "hotspot", "params": {**HOTSPOT, "schedule": {**SCHEDULE, "on": 1}}},
+             "on"),
+            ({"kind": "hotspot", "params": {**HOTSPOT, "schedule": {**SCHEDULE, "off_s": "x"}}},
+             r"schedule\.off_s"),
+            ({"kind": "pattern", "params": {**PATTERN, "config": {"bogus": 1}}}, "bogus"),
+            ({"kind": "pattern", "params": {**PATTERN, "config": {"cut_through": 1}}},
+             r"config\.cut_through"),
+            ({"tasks": [{"kind": "hotspot",
+                         "params": {**HOTSPOT, "policy": "drb", "flows": [[0]]}}]},
+             r"tasks\[0\]\.params.*flows"),
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
