@@ -44,6 +44,7 @@ MODES = {
 }
 MODES["served"] = MODES["traced+metrics"]
 
+
 def bench_traced_pinned_run(benchmark):
     """pytest-benchmark entry: pinned pr-drb workload with a live tracer."""
 

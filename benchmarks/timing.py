@@ -19,6 +19,7 @@ cores).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -35,17 +36,24 @@ from calibrate import HostSpeed, between, pin_to_one_cpu  # noqa: E402,F401
 from run import git_commit  # noqa: E402
 
 
+def _sample(speed: HostSpeed) -> float:
+    # A full collection first, so none lands in the kernels: with the
+    # timed scenarios kept alive one takes 0.1 s, three times a sample.
+    gc.collect()
+    return speed.sample()
+
+
 def timed(fn: Callable[[], object], speed: HostSpeed) -> tuple[object, float, float]:
     """``(fn(), its CPU seconds, the mean slowdown of the samples around it)``.
 
     ``process_time`` counts every thread of the process, so a caller
     stops its helper threads before the next timed call.
     """
-    before = speed.sample()
+    before = _sample(speed)
     start = time.process_time()
     result = fn()
     cpu_s = time.process_time() - start
-    return result, cpu_s, between(before, speed.sample())
+    return result, cpu_s, between(before, _sample(speed))
 
 
 @dataclass
