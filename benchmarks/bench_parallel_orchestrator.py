@@ -25,6 +25,7 @@ import json
 import os
 import tempfile
 
+from repro.analysis.replay import ScenarioSpec, cell_params
 from repro.experiments.config import (
     BURST_OFF_S,
     BURST_ON_S,
@@ -43,28 +44,13 @@ REPETITIONS = 3
 
 def hotspot_task(policy: str, seed: int) -> SimTask:
     """One (policy, seed) cell of the §4.5 hot-spot sweep on the 8x8 mesh."""
-    return SimTask(
-        kind="hotspot",
-        params={
-            "topology": "mesh:8",
-            "policy": policy,
-            "seed": seed,
-            "flows": [[s, d] for s, d in HOTSPOT_FLOWS],
-            "rate_mbps": HOTSPOT_RATE_MBPS,
-            "schedule": {
-                "on_s": BURST_ON_S,
-                "off_s": BURST_OFF_S,
-                "start_s": 0.0,
-                "repetitions": REPETITIONS,
-            },
-            "noise_rate_mbps": HOTSPOT_NOISE_MBPS,
-            "idle_rate_mbps": HOTSPOT_IDLE_MBPS,
-            "drain_s": 8e-4,
-            "notification": "router",
-            "window_s": 5e-5,
-        },
-        label=f"hotspot:{policy}/seed{seed}",
-    )
+    kind, params = cell_params(ScenarioSpec(
+        policy=policy, seed=seed, topology="mesh:8", flows=tuple(HOTSPOT_FLOWS),
+        rate_bps=HOTSPOT_RATE_MBPS * 1e6, burst_on_s=BURST_ON_S, burst_off_s=BURST_OFF_S,
+        repetitions=REPETITIONS, noise_rate_bps=HOTSPOT_NOISE_MBPS * 1e6,
+        idle_rate_bps=HOTSPOT_IDLE_MBPS * 1e6, notification="router", drain_s=8e-4,
+    ))
+    return SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
 
 
 def run_bench(policies=DEFAULT_POLICIES, n_seeds=8, workers=None, out="BENCH_parallel.json"):

@@ -17,15 +17,16 @@ Run:  python examples/hotspot_learning.py
 
 import numpy as np
 
+from repro.analysis.replay import ScenarioSpec
 from repro.experiments.config import (
     HOTSPOT_FLOWS,
     HOTSPOT_IDLE_MBPS,
     HOTSPOT_NOISE_MBPS,
     HOTSPOT_RATE_MBPS,
 )
-from repro.experiments.runner import run_hotspot_workload
+from repro.experiments.runner import run_policies
+from repro.topology import make_topology
 from repro.topology.mesh import Mesh2D
-from repro.traffic.bursty import BurstSchedule
 
 BURSTS = 6
 
@@ -47,20 +48,15 @@ def ascii_map(contention: dict[int, float], topo: Mesh2D) -> str:
 
 
 def main() -> None:
-    topo = Mesh2D(8)
-    schedule = BurstSchedule(on_s=3e-4, off_s=6e-4, repetitions=BURSTS)
-    runs = run_hotspot_workload(
-        lambda: Mesh2D(8),
-        ["drb", "pr-drb"],
-        HOTSPOT_FLOWS,
-        rate_mbps=HOTSPOT_RATE_MBPS,
-        schedule=schedule,
-        noise_rate_mbps=HOTSPOT_NOISE_MBPS,
-        idle_rate_mbps=HOTSPOT_IDLE_MBPS,
-        drain_s=8e-4,
-        notification="router",
-        window_s=2.5e-5,
+    spec = ScenarioSpec(
+        policy="pr-drb", seed=0, topology="mesh:8", flows=tuple(HOTSPOT_FLOWS),
+        rate_bps=HOTSPOT_RATE_MBPS * 1e6, burst_on_s=3e-4, burst_off_s=6e-4,
+        repetitions=BURSTS, noise_rate_bps=HOTSPOT_NOISE_MBPS * 1e6,
+        idle_rate_bps=HOTSPOT_IDLE_MBPS * 1e6, notification="router", drain_s=8e-4,
     )
+    topo = make_topology(spec.topology)
+    schedule = spec.burst_schedule()
+    runs = run_policies(spec, ["drb", "pr-drb"])
 
     print("Per-burst mean latency (us):")
     print(f"{'burst':>5s} {'drb':>8s} {'pr-drb':>8s}")

@@ -12,7 +12,6 @@ Run:  python examples/pop_application.py
 
 from repro.apps.pop import pop_trace
 from repro.experiments.runner import run_app_workload
-from repro.topology.fattree import KaryNTree
 
 POLICIES = [
     "deterministic", "cyclic", "random",
@@ -23,7 +22,7 @@ POLICIES = [
 def main() -> None:
     print("Replaying POP (64 ranks, 3 time-steps) under each policy...\n")
     runs = run_app_workload(
-        lambda: KaryNTree(4, 3),
+        "fattree:4,3",
         POLICIES,
         pop_trace,
         trace_kwargs={"num_ranks": 64, "steps": 3},

@@ -9,9 +9,8 @@ characterization behind the paper's choice of operating points.
 Run:  python examples/saturation_sweep.py
 """
 
-from repro.experiments.runner import run_pattern_workload
-from repro.topology.fattree import KaryNTree
-from repro.traffic.bursty import BurstSchedule
+from repro.analysis.replay import ScenarioSpec
+from repro.experiments.runner import run_policies
 from repro.viz import horizontal_bars, sparkline
 
 RATES = [200, 400, 600, 800, 1000, 1200, 1400, 1600]
@@ -22,16 +21,13 @@ def main() -> None:
     curves: dict[str, list[float]] = {p: [] for p in POLICIES}
     print("sweeping offered load (this takes ~a minute)...")
     for rate in RATES:
-        runs = run_pattern_workload(
-            lambda: KaryNTree(4, 3),
-            POLICIES,
-            "perfect-shuffle",
-            rate_mbps=rate,
-            hosts=range(32),
-            schedule=BurstSchedule(on_s=6e-4, off_s=0.0, repetitions=1),
-            drain_s=2e-3,
-            notification="router",
+        spec = ScenarioSpec(
+            policy="pr-drb", seed=0, topology="fattree:4,3", flows=(),
+            rate_bps=rate * 1e6, burst_on_s=6e-4, burst_off_s=0.0, repetitions=1,
+            noise_rate_bps=0.0, idle_rate_bps=0.0, notification="router", drain_s=2e-3,
+            pattern="perfect-shuffle", hosts=32,
         )
+        runs = run_policies(spec, POLICIES)
         for p in POLICIES:
             curves[p].append(runs[p].mean_latency_s * 1e6)
 

@@ -44,9 +44,9 @@ def code_version() -> str:
 
 
 def scenario_kinds() -> tuple[str, ...]:
-    from repro.parallel.tasks import SCENARIO_KINDS
+    from repro.parallel.worker import RESUMABLE_KINDS
 
-    return SCENARIO_KINDS
+    return RESUMABLE_KINDS
 
 
 def build_context(kind: str, params: dict) -> Scenario:

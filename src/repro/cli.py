@@ -111,7 +111,6 @@ def _cmd_replay(args) -> int:
     from repro.apps import APP_TRACES
     from repro.experiments.runner import run_app_workload
     from repro.mpi.traceio import load_trace
-    from repro.topology.fattree import KaryNTree
 
     if args.trace in APP_TRACES:
         factory = APP_TRACES[args.trace]
@@ -121,7 +120,7 @@ def _cmd_replay(args) -> int:
         factory = lambda **_: trace  # noqa: E731
         kwargs = {}
     runs = run_app_workload(
-        lambda: KaryNTree(4, 3),
+        "fattree:4,3",
         [args.policy],
         factory,
         trace_kwargs=kwargs,

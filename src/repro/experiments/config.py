@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.config import NetworkConfig
-
 #: paper-quoted per-node injection rates -> this model's operating points.
 PAPER_RATE_MAP = {400: 1000.0, 600: 1400.0}
 
@@ -58,13 +56,3 @@ class Scale:
 
 QUICK = Scale(name="quick", repetitions=3, seeds=(0,), app_ranks=16, app_iterations=1)
 FULL = Scale(name="full", repetitions=8, seeds=(0, 1), app_ranks=64, app_iterations=3)
-
-
-def mesh_config() -> NetworkConfig:
-    """Table 4.2 network parameters."""
-    return NetworkConfig()
-
-
-def fattree_config() -> NetworkConfig:
-    """Table 4.3 network parameters."""
-    return NetworkConfig()

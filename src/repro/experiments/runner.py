@@ -5,27 +5,27 @@ routing policy and collects the quantities Chapter 4 plots: global average
 latency (Eq. 4.2), windowed latency series, per-router contention latency,
 latency-map surfaces, execution time for trace replays, and the predictive
 policies' pattern statistics.  Multiple seeds are averaged as in §4.3.
+
+Hot-spot and permutation workloads are
+:class:`~repro.analysis.replay.ScenarioSpec` values run by
+:func:`run_policies`; application traces run through
+:func:`run_app_workload`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.replay import ScenarioSpec, build, cell_params
+from repro.api import build_network
 from repro.experiments.stats import ConfidenceInterval, confidence_interval
 from repro.metrics.recorder import StatsRecorder
-from repro.network.config import NetworkConfig
-from repro.network.fabric import DESTINATION_BASED, Fabric
 from repro.mpi.runtime import TraceRuntime
-from repro.routing import make_policy
-from repro.sim.engine import Simulator
+from repro.network.fabric import DESTINATION_BASED
 from repro.sim.rng import RandomStreams
-from repro.topology.base import Topology
-from repro.traffic.bursty import BurstSchedule
-from repro.traffic.generators import HotSpotFlow, HotSpotWorkload, SyntheticTrafficSource
-from repro.traffic.patterns import make_pattern
 
 
 @dataclass
@@ -170,12 +170,7 @@ def _average_runs(runs: list[PolicyRun]) -> PolicyRun:
     )
 
 
-def _collect(
-    fabric: Fabric,
-    recorder: StatsRecorder,
-    policy_name: str,
-    execution_time_s: float,
-) -> PolicyRun:
+def _collect(fabric, recorder, policy_name: str, execution_time_s: float) -> PolicyRun:
     router_series = {
         rid: series.finalize() for rid, series in recorder.router_series.items()
     }
@@ -193,135 +188,40 @@ def _collect(
     )
 
 
-#: A topology is given either as a zero-arg factory (serial execution
-#: only) or as a declarative spec string like ``"mesh:8"`` /
-#: ``"fattree:4,3"`` (required for parallel execution — spec strings are
-#: picklable and cache-keyable, factories are not).
-TopologySpec = Union[str, Callable[[], Topology]]
+def run_cell(spec: ScenarioSpec, tracer=None, metrics=None, metrics_cadence_s=None) -> PolicyRun:
+    """Build ``spec``, run it through its drain and measure it.
 
-
-def _resolve_topology(topology: TopologySpec) -> Callable[[], Topology]:
-    if isinstance(topology, str):
-        from repro.parallel.tasks import make_topology
-
-        return lambda: make_topology(topology)
-    return topology
-
-
-def _schedule_to_dict(schedule: Optional[BurstSchedule]) -> Optional[dict]:
-    if schedule is None:
-        return None
-    return {
-        "on_s": schedule.on_s,
-        "off_s": schedule.off_s,
-        "start_s": schedule.start_s,
-        "repetitions": schedule.repetitions,
-    }
-
-
-def _parallel_policy_sweep(
-    executor,
-    kind: str,
-    topology: TopologySpec,
-    policies: Sequence[str],
-    seeds: Sequence[int],
-    common_params: dict,
-) -> dict[str, PolicyRun]:
-    """Fan one (policy, seed) cell per task out to a sweep executor.
-
-    Each worker executes the *same* serial code path below with a single
-    policy and a single seed, so per-cell results — and therefore the
-    seed averages — are bit-identical to a serial run.
+    The execution time is the end of the burst schedule.  ``tracer`` and
+    ``metrics`` observe only (:func:`repro.analysis.replay.build`).
     """
-    from repro.parallel.tasks import SimTask
-
-    if not isinstance(topology, str):
-        raise ValueError(
-            "parallel execution needs a declarative topology spec string "
-            "(e.g. 'mesh:8'); zero-arg factories cannot be shipped to "
-            "worker processes"
-        )
-    tasks = [
-        SimTask(
-            kind=kind,
-            params={**common_params, "topology": topology, "policy": name, "seed": seed},
-            label=f"{kind}:{name}/seed{seed}",
-        )
-        for name in policies
-        for seed in seeds
-    ]
-    payloads = executor.run_strict(tasks)
-    results: dict[str, PolicyRun] = {}
-    for index, name in enumerate(policies):
-        runs = [
-            PolicyRun.from_dict(payloads[index * len(seeds) + offset])
-            for offset in range(len(seeds))
-        ]
-        results[name] = _average_runs(runs)
-    return results
+    scenario = build(spec, tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s)
+    scenario.sim.run(until=scenario.until)
+    return _collect(scenario.fabric, scenario.recorder, spec.policy,
+                    spec.burst_schedule().end_time())
 
 
-def _build(
-    topology_factory: TopologySpec,
-    policy_name: str,
-    config: Optional[NetworkConfig],
-    notification: str,
-    window_s: float,
-    track_routers: bool,
-    policy_kwargs: dict,
-    tracer=None,
-    metrics=None,
-    metrics_cadence_s=None,
-) -> tuple[Fabric, StatsRecorder, Simulator]:
-    sim = Simulator()
-    recorder = StatsRecorder(window_s=window_s, track_router_series=track_routers)
-    fabric = Fabric(
-        _resolve_topology(topology_factory)(),
-        config or NetworkConfig(),
-        make_policy(policy_name, **policy_kwargs),
-        sim,
-        recorder=recorder,
-        notification=notification,
-    )
-    if tracer is not None or metrics is not None:
-        from repro.obs import instrument
-
-        instrument(fabric, tracer, metrics=metrics, cadence_s=metrics_cadence_s)
-    return fabric, recorder, sim
-
-
-def run_pattern_workload(
-    topology_factory: TopologySpec,
+def run_policies(
+    spec: ScenarioSpec,
     policies: Sequence[str],
-    pattern: str,
-    rate_mbps: float,
-    hosts: Optional[Sequence[int]] = None,
-    schedule: Optional[BurstSchedule] = None,
-    duration_s: float = 1e-3,
-    drain_s: float = 1e-3,
     seeds: Sequence[int] = (0,),
-    config: Optional[NetworkConfig] = None,
-    notification: str = DESTINATION_BASED,
-    window_s: float = 50e-6,
-    track_routers: bool = False,
-    idle_rate_mbps: float = 0.0,
-    policy_kwargs: Optional[dict] = None,
+    *,
     executor=None,
     tracer=None,
     metrics=None,
     metrics_cadence_s=None,
 ) -> dict[str, PolicyRun]:
-    """Permutation-traffic comparison (§4.6.3, Table 4.3 runs).
+    """Run ``spec`` under every policy and seed; average per policy (§4.3).
 
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the
-    policy x seed grid out to worker processes; results are bit-identical
-    to the serial loop.  Requires ``topology_factory`` to be a spec
-    string like ``"fattree:4,3"``.
+    Each cell is ``spec`` with its policy and seed replaced, and each
+    seed reseeds the traffic, the noise and the policy's routing draw.
+    ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the cells
+    out as ``hotspot``/``pattern`` tasks (:func:`repro.analysis.replay.cell_params`);
+    results are bit-identical to the inline loop.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) is wired
-    into every serial cell via :func:`repro.obs.instrument`; with
+    into every inline cell via :func:`repro.obs.instrument`; with
     ``metrics_cadence_s`` it also snapshots on that sim-time cadence.
-    Registries hold live callables, so they are serial-only: combining
+    Registries hold live callables, so they are inline-only: combining
     ``metrics`` with ``executor`` raises.
     """
     if metrics is not None and executor is not None:
@@ -329,165 +229,55 @@ def run_pattern_workload(
             "metrics registries cannot cross the process boundary; "
             "drop executor= or attach metrics via the sweep's metrics_hook"
         )
-    if executor is not None and len(policies) * len(seeds) > 1:
-        return _parallel_policy_sweep(
-            executor, "pattern", topology_factory, policies, seeds,
-            {
-                "pattern": pattern,
-                "rate_mbps": rate_mbps,
-                "hosts": None if hosts is None else [int(h) for h in hosts],
-                "schedule": _schedule_to_dict(schedule),
-                "duration_s": duration_s,
-                "drain_s": drain_s,
-                "config": None if config is None else asdict(config),
-                "notification": notification,
-                "window_s": window_s,
-                "track_routers": track_routers,
-                "idle_rate_mbps": idle_rate_mbps,
-                "policy_kwargs": policy_kwargs,
-            },
-        )
-    results: dict[str, PolicyRun] = {}
-    for name in policies:
-        runs = []
-        for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {}, tracer=tracer,
-                metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-            )
-            streams = RandomStreams(seed)
-            host_list = list(hosts) if hosts is not None else list(
-                range(1 << (fabric.topology.num_hosts.bit_length() - 1))
-            )
-            pat_nodes = 1 << (len(host_list).bit_length() - 1)
-            pat = make_pattern(pattern, pat_nodes, rng=streams.stream("pattern"))
-            sched = schedule or BurstSchedule(on_s=duration_s, off_s=0.0)
-            stop = sched.end_time() or duration_s
-            source = SyntheticTrafficSource(
-                fabric, pat, hosts=host_list[:pat_nodes], rate_bps=rate_mbps * 1e6,
-                schedule=sched, stop_s=stop, rng=streams.stream("traffic"),
-                idle_rate_bps=idle_rate_mbps * 1e6,
-            )
-            source.start()
-            sim.run(until=stop + drain_s)
-            runs.append(_collect(fabric, recorder, name, stop))
-        results[name] = _average_runs(runs)
-    return results
+    cells = [replace(spec, policy=name, seed=seed) for name in policies for seed in seeds]
+    if executor is not None and len(cells) > 1:
+        from repro.parallel.tasks import SimTask
 
-
-def run_hotspot_workload(
-    topology_factory: TopologySpec,
-    policies: Sequence[str],
-    flows: Sequence[tuple[int, int]],
-    rate_mbps: float,
-    schedule: BurstSchedule,
-    noise_rate_mbps: float = 0.0,
-    idle_rate_mbps: float = 0.0,
-    drain_s: float = 1e-3,
-    seeds: Sequence[int] = (0,),
-    config: Optional[NetworkConfig] = None,
-    notification: str = DESTINATION_BASED,
-    window_s: float = 50e-6,
-    track_routers: bool = False,
-    policy_kwargs: Optional[dict] = None,
-    executor=None,
-    tracer=None,
-    metrics=None,
-    metrics_cadence_s=None,
-) -> dict[str, PolicyRun]:
-    """Hot-spot specific-pattern comparison (§4.5, §4.6.2).
-
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the
-    policy x seed grid out to worker processes; results are bit-identical
-    to the serial loop.  Requires ``topology_factory`` to be a spec
-    string like ``"mesh:8"``.
-
-    ``metrics`` / ``metrics_cadence_s`` behave as in
-    :func:`run_pattern_workload`: serial-only, observation-only.
-    """
-    stop = schedule.end_time()
-    if stop is None:
-        raise ValueError("hot-spot schedule must be bounded (set repetitions)")
-    if metrics is not None and executor is not None:
-        raise ValueError(
-            "metrics registries cannot cross the process boundary; "
-            "drop executor= or attach metrics via the sweep's metrics_hook"
-        )
-    if executor is not None and len(policies) * len(seeds) > 1:
-        return _parallel_policy_sweep(
-            executor, "hotspot", topology_factory, policies, seeds,
-            {
-                "flows": [[int(s), int(d)] for s, d in flows],
-                "rate_mbps": rate_mbps,
-                "schedule": _schedule_to_dict(schedule),
-                "noise_rate_mbps": noise_rate_mbps,
-                "idle_rate_mbps": idle_rate_mbps,
-                "drain_s": drain_s,
-                "config": None if config is None else asdict(config),
-                "notification": notification,
-                "window_s": window_s,
-                "track_routers": track_routers,
-                "policy_kwargs": policy_kwargs,
-            },
-        )
-    results: dict[str, PolicyRun] = {}
-    for name in policies:
-        runs = []
-        for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {}, tracer=tracer,
-                metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-            )
-            streams = RandomStreams(seed)
-            workload = HotSpotWorkload(
-                fabric,
-                [HotSpotFlow(s, d) for s, d in flows],
-                rate_bps=rate_mbps * 1e6,
-                schedule=schedule,
-                stop_s=stop,
-                noise_hosts=range(fabric.topology.num_hosts),
-                noise_rate_bps=noise_rate_mbps * 1e6,
-                rng=streams.stream("noise"),
-                idle_rate_bps=idle_rate_mbps * 1e6,
-            )
-            workload.start()
-            sim.run(until=stop + drain_s)
-            runs.append(_collect(fabric, recorder, name, stop))
-        results[name] = _average_runs(runs)
-    return results
+        tasks = []
+        for cell in cells:
+            kind, params = cell_params(cell)
+            tasks.append(SimTask(kind, params, label=f"{kind}:{cell.policy}/seed{cell.seed}"))
+        runs = [PolicyRun.from_dict(payload) for payload in executor.run_strict(tasks)]
+    else:
+        runs = [run_cell(cell, tracer, metrics, metrics_cadence_s) for cell in cells]
+    return {
+        name: _average_runs(runs[index * len(seeds):(index + 1) * len(seeds)])
+        for index, name in enumerate(policies)
+    }
 
 
 def run_app_workload(
-    topology_factory: TopologySpec,
+    topology: str,
     policies: Sequence[str],
     trace_factory: Callable[..., "object"],
     trace_kwargs: Optional[dict] = None,
     seeds: Sequence[int] = (0,),
-    config: Optional[NetworkConfig] = None,
     notification: str = DESTINATION_BASED,
     window_s: float = 100e-6,
     track_routers: bool = False,
     timeout_s: float = 30.0,
-    policy_kwargs: Optional[dict] = None,
 ) -> dict[str, PolicyRun]:
-    """Application-trace comparison (§4.8): latency + execution time."""
+    """Application-trace comparison (§4.8): latency + execution time.
+
+    ``topology`` is a :func:`repro.topology.make_topology` spec string;
+    each seed seeds the trace (when its factory takes one) and the
+    policy's routing draw.
+    """
     results: dict[str, PolicyRun] = {}
     trace_kwargs = dict(trace_kwargs or {})
     for name in policies:
         runs = []
         for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {},
+            net = build_network(
+                topology, name, notification=notification,
+                recorder=StatsRecorder(window_s=window_s, track_router_series=track_routers),
+                rng=RandomStreams(seed).stream("routing"),
             )
             kwargs = dict(trace_kwargs)
             if "seed" in trace_factory.__code__.co_varnames:
                 kwargs.setdefault("seed", seed)
-            trace = trace_factory(**kwargs)
-            runtime = TraceRuntime(fabric, trace)
+            runtime = TraceRuntime(net.fabric, trace_factory(**kwargs))
             exec_time = runtime.run(timeout_s=timeout_s)
-            runs.append(_collect(fabric, recorder, name, exec_time))
+            runs.append(_collect(net.fabric, net.recorder, name, exec_time))
         results[name] = _average_runs(runs)
     return results

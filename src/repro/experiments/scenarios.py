@@ -8,8 +8,11 @@ with ``scale=FULL``; tests with ``scale=QUICK``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.analysis.replay import ScenarioSpec, build
 from repro.apps.commmatrix import CommMatrixStats
 from repro.apps.lammps import lammps_chain_trace, lammps_comb_trace
 from repro.apps.nas import nas_lu_trace, nas_mg_trace
@@ -27,21 +30,12 @@ from repro.experiments.config import (
     PAPER_RATE_MAP,
     QUICK,
     Scale,
-    fattree_config,
-    mesh_config,
 )
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import (
-    PolicyRun,
-    improvement,
-    run_app_workload,
-    run_hotspot_workload,
-    run_pattern_workload,
-)
+from repro.experiments.runner import PolicyRun, improvement, run_app_workload, run_policies
 from repro.mpi.trace import call_breakdown
 from repro.parallel import default_executor
-from repro.topology.fattree import KaryNTree
-from repro.topology.mesh import Mesh2D
+from repro.topology import make_topology
 from repro.traffic.bursty import BurstSchedule
 from repro.traffic.patterns import PATTERNS
 
@@ -49,10 +43,11 @@ from repro.traffic.patterns import PATTERNS
 #: (§3.4.1), the design alternative the thesis recommends for speed.
 NOTIFICATION = "router"
 
-#: Declarative topology specs (repro.topology.make_topology) so the
-#: policy x seed grids can be shipped to worker processes when
-#: ``REPRO_PARALLEL_WORKERS`` is set; serial execution resolves the same
-#: specs in-process, so results are identical either way.
+#: Declarative topology specs (repro.topology.make_topology): every
+#: hot-spot and permutation cell is a ScenarioSpec, so the policy x seed
+#: grids ship to worker processes when ``REPRO_PARALLEL_WORKERS`` is set;
+#: serial execution builds the same specs in-process, so results are
+#: identical either way.
 MESH_SPEC = "mesh:8"
 FATTREE_SPEC = "fattree:4,3"
 #: dragonfly(a=4, p=2, h=2): 9 groups, 36 routers, 72 hosts — the smallest
@@ -62,8 +57,41 @@ FATTREE_SPEC = "fattree:4,3"
 DRAGONFLY_SPEC = "dragonfly:4,2,2"
 
 
-def _hotspot_schedule(scale: Scale) -> BurstSchedule:
-    return BurstSchedule(on_s=BURST_ON_S, off_s=BURST_OFF_S, repetitions=scale.repetitions)
+def _hotspot_spec(scale: Scale, **changes) -> ScenarioSpec:
+    """The §4.5 mesh hot-spot cell, with ``changes`` to its fields.
+
+    Its recorder window is the spine's 2.5e-5 s, the ``window_s`` of
+    both scales.
+    """
+    return replace(
+        ScenarioSpec(
+            policy="pr-drb", seed=scale.seeds[0], topology=MESH_SPEC,
+            flows=tuple(HOTSPOT_FLOWS), rate_bps=HOTSPOT_RATE_MBPS * 1e6,
+            burst_on_s=BURST_ON_S, burst_off_s=BURST_OFF_S, repetitions=scale.repetitions,
+            noise_rate_bps=HOTSPOT_NOISE_MBPS * 1e6, idle_rate_bps=HOTSPOT_IDLE_MBPS * 1e6,
+            notification=NOTIFICATION, drain_s=8e-4,
+        ),
+        **changes,
+    )
+
+
+def _pattern_spec(
+    scale: Scale, pattern: str, hosts: int, rate_mbps: float, **changes
+) -> ScenarioSpec:
+    """A fat-tree permutation cell over ``hosts`` hosts (Figs 4.13-4.18)."""
+    return replace(
+        ScenarioSpec(
+            policy="pr-drb", seed=scale.seeds[0], topology=FATTREE_SPEC, flows=(),
+            rate_bps=rate_mbps * 1e6, burst_on_s=BURST_ON_S, burst_off_s=BURST_OFF_S,
+            repetitions=scale.repetitions, noise_rate_bps=0.0, idle_rate_bps=60 * 1e6,
+            notification=NOTIFICATION, drain_s=8e-4, pattern=pattern, hosts=hosts,
+        ),
+        **changes,
+    )
+
+
+def _runs(spec: ScenarioSpec, policies, seeds) -> dict[str, PolicyRun]:
+    return run_policies(spec, policies, seeds, executor=default_executor())
 
 
 def _pct(x: float) -> str:
@@ -184,23 +212,8 @@ def fig_2_10_13_comm_matrices(scale: Scale = QUICK) -> ExperimentResult:
 # Hot-spot experiments on the mesh (Figs 3.1, 4.8-4.12)
 # ======================================================================
 
-def _hotspot_runs(scale: Scale, policies, track_routers=False) -> dict[str, PolicyRun]:
-    return run_hotspot_workload(
-        MESH_SPEC,
-        policies,
-        HOTSPOT_FLOWS,
-        rate_mbps=HOTSPOT_RATE_MBPS,
-        schedule=_hotspot_schedule(scale),
-        noise_rate_mbps=HOTSPOT_NOISE_MBPS,
-        idle_rate_mbps=HOTSPOT_IDLE_MBPS,
-        drain_s=8e-4,
-        seeds=scale.seeds,
-        config=mesh_config(),
-        notification=NOTIFICATION,
-        window_s=scale.window_s,
-        track_routers=track_routers,
-        executor=default_executor(),
-    )
+def _hotspot_runs(scale: Scale, policies, **changes) -> dict[str, PolicyRun]:
+    return _runs(_hotspot_spec(scale, **changes), policies, scale.seeds)
 
 
 def _per_burst_means(run: PolicyRun, schedule: BurstSchedule) -> list[float]:
@@ -223,7 +236,7 @@ def fig_3_1_overview(scale: Scale = QUICK) -> ExperimentResult:
         "below DRB's.",
     )
     runs = _hotspot_runs(scale, ["drb", "pr-drb"])
-    sched = _hotspot_schedule(scale)
+    sched = _hotspot_spec(scale).burst_schedule()
     drb = _per_burst_means(runs["drb"], sched)
     pr = _per_burst_means(runs["pr-drb"], sched)
     for b, (a, c) in enumerate(zip(drb, pr)):
@@ -312,7 +325,7 @@ def fig_4_12_mesh_avg_latency(scale: Scale = QUICK) -> ExperimentResult:
         "phases; curves converge once traffic stabilizes.",
     )
     runs = _hotspot_runs(scale, ["drb", "pr-drb"])
-    sched = _hotspot_schedule(scale)
+    sched = _hotspot_spec(scale).burst_schedule()
     drb = _per_burst_means(runs["drb"], sched)
     pr = _per_burst_means(runs["pr-drb"], sched)
     second_half = slice(len(drb) // 2, None)
@@ -348,21 +361,9 @@ def _permutation_experiment(
         f"(mapped to {rate:.0f} Mbps, see DESIGN.md)",
         paper_gain,
     )
-    sched = BurstSchedule(on_s=BURST_ON_S, off_s=BURST_OFF_S, repetitions=scale.repetitions)
-    runs = run_pattern_workload(
-        FATTREE_SPEC,
-        ["deterministic", "drb", "pr-drb"],
-        pattern,
-        rate_mbps=rate,
-        hosts=range(nodes),
-        schedule=sched,
-        idle_rate_mbps=60,
-        drain_s=8e-4,
-        seeds=scale.seeds,
-        config=fattree_config(),
-        notification=NOTIFICATION,
-        window_s=scale.window_s,
-        executor=default_executor(),
+    runs = _runs(
+        _pattern_spec(scale, pattern, nodes, rate), ["deterministic", "drb", "pr-drb"],
+        scale.seeds,
     )
     det, drb, pr = runs["deterministic"], runs["drb"], runs["pr-drb"]
     for r in (det, drb, pr):
@@ -472,6 +473,10 @@ def table_4_1_patterns(scale: Scale = QUICK) -> ExperimentResult:
 # Application traces on the fat-tree (§4.8)
 # ======================================================================
 
+def _app_topology(scale: Scale) -> str:
+    return "fattree:4,3" if scale.app_ranks > 16 else "fattree:4,2"
+
+
 def _app_runs(
     scale: Scale,
     trace_factory,
@@ -480,12 +485,11 @@ def _app_runs(
     track_routers=False,
 ) -> dict[str, PolicyRun]:
     return run_app_workload(
-        lambda: KaryNTree(4, 3) if scale.app_ranks > 16 else KaryNTree(4, 2),
+        _app_topology(scale),
         policies,
         trace_factory,
         trace_kwargs=trace_kwargs,
         seeds=scale.seeds,
-        config=fattree_config(),
         notification=NOTIFICATION,
         window_s=scale.window_s * 4,
         track_routers=track_routers,
@@ -725,27 +729,6 @@ def fig_4_27_30_pop(scale: Scale = QUICK) -> ExperimentResult:
 # Ablations (DESIGN.md §6)
 # ======================================================================
 
-def _hotspot_prdrb(scale: Scale, notification=None, policy_kwargs=None) -> PolicyRun:
-    runs = run_hotspot_workload(
-        MESH_SPEC,
-        ["pr-drb"],
-        HOTSPOT_FLOWS,
-        rate_mbps=HOTSPOT_RATE_MBPS,
-        schedule=_hotspot_schedule(scale),
-        noise_rate_mbps=HOTSPOT_NOISE_MBPS,
-        idle_rate_mbps=HOTSPOT_IDLE_MBPS,
-        drain_s=8e-4,
-        seeds=scale.seeds,
-        notification=notification or NOTIFICATION,
-        window_s=scale.window_s,
-        policy_kwargs=policy_kwargs,
-        # Ablation policy_kwargs carry config objects, which are not
-        # JSON task specs; those runs stay serial.
-        executor=None if policy_kwargs else default_executor(),
-    )
-    return runs["pr-drb"]
-
-
 def ablation_notification_mode(scale: Scale = QUICK) -> ExperimentResult:
     """Destination-based (§3.2.2) vs router-based (§3.4.1) notification."""
     result = ExperimentResult(
@@ -757,7 +740,7 @@ def ablation_notification_mode(scale: Scale = QUICK) -> ExperimentResult:
     )
     values = {}
     for mode in ("destination", "router"):
-        r = _hotspot_prdrb(scale, notification=mode)
+        r = _hotspot_runs(scale, ["pr-drb"], notification=mode)["pr-drb"]
         values[mode] = r
         result.rows.append(
             {
@@ -782,13 +765,11 @@ def ablation_max_paths(scale: Scale = QUICK) -> ExperimentResult:
         "More alternative paths absorb heavier hot-spots; the paper uses "
         "a maximum of 4.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
+    variants = {n: f"pr-drb:max_paths={n}" for n in (1, 2, 4)}
+    runs = _hotspot_runs(scale, list(variants.values()))
     values = {}
-    for max_paths in (1, 2, 4):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(max_paths=max_paths)}
-        )
+    for max_paths, policy in variants.items():
+        r = runs[policy]
         values[max_paths] = r.global_latency_s
         result.rows.append(
             {
@@ -809,13 +790,11 @@ def ablation_similarity_threshold(scale: Scale = QUICK) -> ExperimentResult:
         "An overly strict threshold stops solutions from being reused; "
         "80 % balances reuse against false matches.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
+    variants = {t: f"pr-drb:match_threshold={t}" for t in (0.5, 0.8, 1.0)}
+    runs = _hotspot_runs(scale, list(variants.values()))
     reuse = {}
-    for threshold in (0.5, 0.8, 1.0):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(match_threshold=threshold)}
-        )
+    for threshold, policy in variants.items():
+        r = runs[policy]
         reuse[threshold] = r.policy_stats.get("solutions_applied", 0)
         result.rows.append(
             {
@@ -839,13 +818,11 @@ def ablation_zone_thresholds(scale: Scale = QUICK) -> ExperimentResult:
         "A lower Threshold_High detects congestion earlier (more "
         "expansions); the defaults balance reactivity against churn.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
+    variants = {h: f"pr-drb:high_factor={h}" for h in (1.25, 1.5, 2.5)}
+    runs = _hotspot_runs(scale, list(variants.values()))
     reactions = {}
-    for high in (1.25, 1.5, 2.5):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(high_factor=high)}
-        )
+    for high, policy in variants.items():
+        r = runs[policy]
         reactions[high] = r.policy_stats["expansions"] + r.policy_stats.get(
             "solutions_applied", 0
         )
@@ -895,41 +872,15 @@ ALL_SCENARIOS = {
 # Extension experiments (§5.2 further work, implemented here)
 # ======================================================================
 
-def _build_hotspot_fabric(policy, scale: Scale, seed: int = 0):
-    """One hot-spot run against an explicit policy instance."""
-    from repro.metrics.recorder import StatsRecorder
-    from repro.network.fabric import Fabric
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import seeded_generator
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
-
-    sim = Simulator()
-    recorder = StatsRecorder(window_s=scale.window_s)
-    fabric = Fabric(
-        Mesh2D(8), mesh_config(), policy, sim,
-        recorder=recorder, notification=NOTIFICATION,
-    )
-    schedule = _hotspot_schedule(scale)
-    workload = HotSpotWorkload(
-        fabric,
-        [HotSpotFlow(s, d) for s, d in HOTSPOT_FLOWS],
-        rate_bps=HOTSPOT_RATE_MBPS * 1e6,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        noise_hosts=range(64),
-        noise_rate_bps=HOTSPOT_NOISE_MBPS * 1e6,
-        rng=seeded_generator(seed),
-        idle_rate_bps=HOTSPOT_IDLE_MBPS * 1e6,
-    )
-    workload.start()
-    sim.run(until=schedule.end_time() + 8e-4)
-    return fabric, recorder, schedule
+def _run_built(spec: ScenarioSpec):
+    """Build and run one hot-spot cell; the caller reads its live parts."""
+    scenario = build(spec)
+    scenario.sim.run(until=scenario.until)
+    return scenario
 
 
 def ext_warm_start(scale: Scale = QUICK) -> ExperimentResult:
     """§5.2 "static variation": pre-loading offline pattern knowledge."""
-    from repro.routing.prdrb import PRDRBConfig, PRDRBPolicy
-
     result = ExperimentResult(
         "EXT-warmstart",
         "Warm-started PR-DRB (offline meta-information)",
@@ -937,14 +888,16 @@ def ext_warm_start(scale: Scale = QUICK) -> ExperimentResult:
         "meta-information about communication patterns, so even the first "
         "occurrence is handled predictively.",
     )
+    spec = _hotspot_spec(scale)
+    schedule = spec.burst_schedule()
     # Cold run: learn the patterns.
-    cold = PRDRBPolicy(PRDRBConfig())
-    _, cold_rec, schedule = _build_hotspot_fabric(cold, scale)
-    exported = cold.export_solutions()
-    # Warm run: same workload, databases pre-loaded.
-    warm = PRDRBPolicy(PRDRBConfig())
-    loaded = warm.import_solutions(exported)
-    _, warm_rec, _ = _build_hotspot_fabric(warm, scale)
+    cold = _run_built(spec)
+    cold_rec = cold.recorder
+    # Warm run: same workload, databases pre-loaded before any event.
+    warm = build(spec)
+    loaded = warm.policy_obj.import_solutions(cold.policy_obj.export_solutions())
+    warm.sim.run(until=warm.until)
+    warm_rec = warm.recorder
 
     def first_burst_mean(recorder):
         t, v = recorder.latency_series.finalize()
@@ -972,7 +925,7 @@ def ext_warm_start(scale: Scale = QUICK) -> ExperimentResult:
     result.check("cold run exported patterns", loaded > 0)
     result.check(
         "warm start applied solutions immediately",
-        warm.solutions_applied > 0,
+        warm.policy_obj.solutions_applied > 0,
     )
     result.check(
         "first burst not worse than cold (10% tolerance)",
@@ -983,8 +936,6 @@ def ext_warm_start(scale: Scale = QUICK) -> ExperimentResult:
 
 def ext_trend_detection(scale: Scale = QUICK) -> ExperimentResult:
     """§5.2 latency-trend extension: react before Threshold_High."""
-    from repro.routing.prdrb import PRDRBConfig, PRDRBPolicy
-
     result = ExperimentResult(
         "EXT-trend",
         "Latency-trend congestion prediction",
@@ -992,29 +943,24 @@ def ext_trend_detection(scale: Scale = QUICK) -> ExperimentResult:
         "predict congestion before it arises; trend analysis could "
         "improve performance.",
     )
-    runs = {}
-    for label, enabled in (("baseline", False), ("trend", True)):
-        policy = PRDRBPolicy(PRDRBConfig(trend_detection=enabled))
-        _, recorder, _ = _build_hotspot_fabric(policy, scale)
-        runs[label] = (policy, recorder)
+    variants = {"baseline": "pr-drb", "trend": "pr-drb:trend_detection=true"}
+    runs = _runs(_hotspot_spec(scale), list(variants.values()), scale.seeds[:1])
+    for label, policy in variants.items():
+        r = runs[policy]
         result.rows.append(
             {
                 "variant": label,
-                "global_latency_us": round(
-                    recorder.global_average_latency_s * 1e6, 2
-                ),
-                "p99_us": round(recorder.latency_percentile(99) * 1e6, 2),
-                "trend_triggers": policy.trend_triggers,
+                "global_latency_us": round(r.global_latency_s * 1e6, 2),
+                "p99_us": round(r.p99_latency_s * 1e6, 2),
+                "trend_triggers": r.policy_stats["trend_triggers"],
             }
         )
-    base_policy, base_rec = runs["baseline"]
-    trend_policy, trend_rec = runs["trend"]
-    result.check("trend variant fired early triggers", trend_policy.trend_triggers > 0)
-    result.check("baseline never trend-triggers", base_policy.trend_triggers == 0)
+    base, trend = (runs[policy] for policy in variants.values())
+    result.check("trend variant fired early triggers", trend.policy_stats["trend_triggers"] > 0)
+    result.check("baseline never trend-triggers", base.policy_stats["trend_triggers"] == 0)
     result.check(
         "trend latency within 10% of baseline",
-        trend_rec.global_average_latency_s
-        <= base_rec.global_average_latency_s * 1.10,
+        trend.global_latency_s <= base.global_latency_s * 1.10,
     )
     return result
 
@@ -1022,7 +968,6 @@ def ext_trend_detection(scale: Scale = QUICK) -> ExperimentResult:
 def ext_energy(scale: Scale = QUICK) -> ExperimentResult:
     """§5.2 energy-aware routing groundwork: per-policy energy accounting."""
     from repro.metrics.energy import measure_energy
-    from repro.routing import make_policy
 
     result = ExperimentResult(
         "EXT-energy",
@@ -1031,16 +976,13 @@ def ext_energy(scale: Scale = QUICK) -> ExperimentResult:
         "policies; this experiment provides the accounting baseline "
         "(static router power + dynamic per-bit energy).",
     )
-    schedule = _hotspot_schedule(scale)
-    duration = schedule.end_time() + 8e-4
     dynamic = {}
     for name in ("deterministic", "drb", "pr-drb"):
-        policy = make_policy(name)
-        fabric, recorder, _ = _build_hotspot_fabric(policy, scale)
-        report = measure_energy(fabric, duration)
+        scenario = _run_built(_hotspot_spec(scale, policy=name))
+        report = measure_energy(scenario.fabric, scenario.until)
         dynamic[name] = report.dynamic_j
-        row = {"policy": name, **report.row(),
-               "global_latency_us": round(recorder.global_average_latency_s * 1e6, 2)}
+        row = {"policy": name, **report.row(), "global_latency_us":
+               round(scenario.recorder.global_average_latency_s * 1e6, 2)}
         result.rows.append(row)
     result.check("all policies consumed dynamic energy", all(v > 0 for v in dynamic.values()))
     result.check(
@@ -1075,21 +1017,11 @@ def ext_saturation_curve(scale: Scale = QUICK) -> ExperimentResult:
     duration = 4e-4 if scale.name == "quick" else 8e-4
     curves: dict[str, list[float]] = {"deterministic": [], "drb": [], "pr-drb": []}
     for rate in rates:
-        sched = BurstSchedule(on_s=duration, off_s=0.0, repetitions=1)
-        runs = run_pattern_workload(
-            FATTREE_SPEC,
-            list(curves),
-            "perfect-shuffle",
-            rate_mbps=rate,
-            hosts=range(32),
-            schedule=sched,
-            drain_s=2e-3,
-            seeds=scale.seeds[:1],
-            config=fattree_config(),
-            notification=NOTIFICATION,
-            window_s=scale.window_s,
-            executor=default_executor(),
+        spec = _pattern_spec(
+            scale, "perfect-shuffle", 32, rate, burst_on_s=duration, burst_off_s=0.0,
+            repetitions=1, idle_rate_bps=0.0, drain_s=2e-3,
         )
+        runs = _runs(spec, list(curves), scale.seeds[:1])
         row = {"rate_mbps": rate}
         for name in curves:
             curves[name].append(runs[name].mean_latency_s)
@@ -1119,15 +1051,11 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     on-leaf, random placement forces it through the fabric, and the DRB
     family then recovers part of the random-placement penalty.
     """
-    import numpy as np  # noqa: F811
-
+    from repro.api import build_network
     from repro.mapping import affinity_mapping, linear_mapping, mapping_cost, random_mapping
     from repro.metrics.recorder import StatsRecorder
     from repro.mpi.runtime import TraceRuntime
     from repro.mpi.trace import communication_matrix
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
 
     result = ExperimentResult(
         "EXT-mapping",
@@ -1137,7 +1065,7 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
         "processors.",
     )
     ranks = scale.app_ranks
-    tree = KaryNTree(4, 3) if ranks > 16 else KaryNTree(4, 2)
+    tree = make_topology(_app_topology(scale))
     trace = lammps_chain_trace(num_ranks=ranks, iterations=max(2, scale.app_iterations))
     matrix = communication_matrix(trace, include_collectives=False)
     mappings = {
@@ -1147,13 +1075,9 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     }
     latencies = {}
     for label, mapping in mappings.items():
-        sim = Simulator()
         rec = StatsRecorder(window_s=scale.window_s)
-        fabric = Fabric(
-            KaryNTree(tree.k, tree.n), fattree_config(),
-            make_policy("deterministic"), sim, recorder=rec,
-        )
-        runtime = TraceRuntime(fabric, trace, rank_to_host=mapping)
+        net = build_network(_app_topology(scale), "deterministic", recorder=rec)
+        runtime = TraceRuntime(net.fabric, trace, rank_to_host=mapping)
         exec_time = runtime.run(timeout_s=60.0)
         latencies[label] = rec.mean_latency_s
         result.rows.append(
@@ -1191,8 +1115,6 @@ def ext_virtual_channels(scale: Scale = QUICK) -> ExperimentResult:
     round-robin VCs co-located flows keep progressing — visible in the
     tail latency of the hot-spot workload.
     """
-    from repro.network.config import NetworkConfig
-
     result = ExperimentResult(
         "EXT-vc",
         "Virtual-channel arbitration vs FIFO link service",
@@ -1201,23 +1123,7 @@ def ext_virtual_channels(scale: Scale = QUICK) -> ExperimentResult:
     )
     values = {}
     for label, vcs in (("fifo", 1), ("vc4", 4)):
-        cfg = NetworkConfig(virtual_channels=vcs)
-        runs = run_hotspot_workload(
-            MESH_SPEC,
-            ["pr-drb"],
-            HOTSPOT_FLOWS,
-            rate_mbps=HOTSPOT_RATE_MBPS,
-            schedule=_hotspot_schedule(scale),
-            noise_rate_mbps=HOTSPOT_NOISE_MBPS,
-            idle_rate_mbps=HOTSPOT_IDLE_MBPS,
-            drain_s=8e-4,
-            seeds=scale.seeds,
-            config=cfg,
-            notification=NOTIFICATION,
-            window_s=scale.window_s,
-            executor=default_executor(),
-        )
-        r = runs["pr-drb"]
+        r = _hotspot_runs(scale, ["pr-drb"], virtual_channels=vcs)["pr-drb"]
         values[label] = r
         result.rows.append(
             {
@@ -1249,8 +1155,6 @@ def ext_slim_network_footprint(scale: Scale = QUICK) -> ExperimentResult:
     tree) and checks that PR-DRB on the cheap network recovers what
     deterministic routing loses to the missing bisection.
     """
-    from repro.parallel.tasks import make_topology
-
     result = ExperimentResult(
         "EXT-slimtree",
         "Smaller network footprint (slimmed fat-tree)",
@@ -1258,7 +1162,6 @@ def ext_slim_network_footprint(scale: Scale = QUICK) -> ExperimentResult:
         "deterministic performance; deterministic routing on the slim "
         "tree degrades.",
     )
-    sched = BurstSchedule(on_s=BURST_ON_S, off_s=BURST_OFF_S, repetitions=scale.repetitions)
     rate = PAPER_RATE_MAP[400]
     configs = {
         "full+deterministic": ("slimtree:4,3,1.0", "deterministic"),
@@ -1268,22 +1171,8 @@ def ext_slim_network_footprint(scale: Scale = QUICK) -> ExperimentResult:
     }
     latency = {}
     for label, (topo_spec, policy) in configs.items():
-        runs = run_pattern_workload(
-            topo_spec,
-            [policy],
-            "perfect-shuffle",
-            rate_mbps=rate,
-            hosts=range(32),
-            schedule=sched,
-            idle_rate_mbps=60,
-            drain_s=8e-4,
-            seeds=scale.seeds,
-            config=fattree_config(),
-            notification=NOTIFICATION,
-            window_s=scale.window_s,
-            executor=default_executor(),
-        )
-        r = runs[policy]
+        spec = _pattern_spec(scale, "perfect-shuffle", 32, rate, topology=topo_spec)
+        r = _runs(spec, [policy], scale.seeds)[policy]
         latency[label] = r.global_latency_s
         result.rows.append(
             {
@@ -1398,22 +1287,10 @@ def _dragonfly_runs(
     rate_mbps: float = HOTSPOT_RATE_MBPS,
     noise_rate_mbps: float = 0.0,
 ) -> dict[str, PolicyRun]:
-    sched = BurstSchedule(
-        on_s=BURST_ON_S, off_s=1e-4, repetitions=min(scale.repetitions, 2)
-    )
-    return run_hotspot_workload(
-        DRAGONFLY_SPEC,
-        policies,
-        DRAGONFLY_HOTSPOT_FLOWS,
-        rate_mbps=rate_mbps,
-        schedule=sched,
-        noise_rate_mbps=noise_rate_mbps,
-        drain_s=8e-4,
-        seeds=scale.seeds,
-        config=mesh_config(),
-        notification=NOTIFICATION,
-        window_s=scale.window_s,
-        executor=default_executor(),
+    return _hotspot_runs(
+        scale, policies, topology=DRAGONFLY_SPEC, flows=tuple(DRAGONFLY_HOTSPOT_FLOWS),
+        rate_bps=rate_mbps * 1e6, burst_off_s=1e-4, repetitions=min(scale.repetitions, 2),
+        noise_rate_bps=noise_rate_mbps * 1e6, idle_rate_bps=0.0,
     )
 
 

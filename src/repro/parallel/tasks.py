@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import reprlib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -37,7 +37,6 @@ __all__ = [
     "json_safe",
     "make_topology",
     "task_key",
-    "workload_kwargs",
 ]
 
 
@@ -153,14 +152,16 @@ def task_key(task: SimTask, version: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 _DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
-#: task kinds a job spec may reference (``selftest`` is the orchestrator
-#: test double and stays CLI/test-only).
-SERVABLE_KINDS = ("replay", "fault", "hotspot", "pattern")
+#: task kinds whose params :func:`repro.analysis.replay.scenario_spec`
+#: parses into a :class:`~repro.analysis.replay.ScenarioSpec`.  Parsing
+#: into a spec does not make a kind resumable: a ``hotspot`` or
+#: ``pattern`` cell returns a ``PolicyRun``, and only ``replay`` and
+#: ``fault`` cells checkpoint (:data:`repro.parallel.worker.RESUMABLE_KINDS`).
+SCENARIO_KINDS = ("replay", "fault", "hotspot", "pattern")
 
-#: task kinds whose params parse into a
-#: :class:`~repro.analysis.replay.ScenarioSpec` — exactly the kinds
-#: :mod:`repro.checkpoint` can snapshot and resume mid-run.
-SCENARIO_KINDS = ("replay", "fault")
+#: task kinds a job spec may reference: every scenario kind
+#: (``selftest`` is the orchestrator test double and stays CLI/test-only).
+SERVABLE_KINDS = SCENARIO_KINDS
 
 
 def _is_int(value) -> bool:
@@ -188,24 +189,35 @@ def _as_params(value, name: str) -> dict:
 
 
 def _parse_seeds(raw) -> list[int]:
-    """``4`` -> ``[0, 1, 2, 3]``; a list passes through."""
+    """``4`` -> ``[0, 1, 2, 3]``; a non-empty list of seeds >= 0 passes
+    through."""
     if _is_int(raw):
         if raw < 1:
-            raise ValueError("seed count must be >= 1")
+            raise ValueError("'seeds': seed count must be >= 1")
         return list(range(raw))
-    if isinstance(raw, (list, tuple)) and all(_is_int(seed) for seed in raw):
-        return list(raw)
-    raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
+    if not isinstance(raw, (list, tuple)) or not all(_is_int(seed) for seed in raw):
+        raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
+    if not raw or min(raw) < 0:
+        raise ValueError(f"'seeds' must be a non-empty list of seeds >= 0, got {reprlib.repr(raw)}")
+    return list(raw)
 
 
 def _parse_policies(raw) -> list[str]:
-    """A non-empty list of policy names (a bare string is refused)."""
+    """A non-empty list of registered policy specs (a bare string is
+    refused).  Each is checked against its factory, none is built."""
+    from repro.routing import check_policy_spec
+
     if not isinstance(raw, (list, tuple)) or not all(isinstance(p, str) for p in raw):
         raise ValueError(
             f"'policies' must be a list of policy names, got {reprlib.repr(raw)}"
         )
     if not raw:
         raise ValueError("'policies' must be non-empty")
+    for policy in raw:
+        try:
+            check_policy_spec(policy)
+        except ValueError as exc:
+            raise ValueError(f"'policies': {exc}") from exc
     return list(raw)
 
 
@@ -213,12 +225,11 @@ def expand_grid(spec: dict) -> list[SimTask]:
     """Expand a job spec into its :class:`SimTask` cells.
 
     Spec shapes are documented in :mod:`repro.serve.jobs`.  Every
-    cell's params go through its kind's parser
-    (:func:`repro.analysis.replay.scenario_spec` for ``replay``/``fault``,
-    :func:`workload_kwargs` for ``hotspot``/``pattern``), so a missing,
-    unknown or mistyped field fails here.  Raises ``ValueError`` naming the field
-    for anything malformed — the HTTP layer turns that into a 400 so bad
-    specs never reach the queue.
+    cell's params go through :func:`repro.analysis.replay.scenario_spec`,
+    the parser the worker runs, so a missing, unknown or mistyped field,
+    or a value no run could complete, fails here.  Raises ``ValueError``
+    naming the field for anything malformed — the HTTP layer turns that
+    into a 400 so bad specs never reach the queue.
     """
     if not isinstance(spec, dict):
         raise ValueError("job spec must be a JSON object")
@@ -262,7 +273,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
                 params = {"policy": policy, "spec": {
                     **extra, "seed": seed, **scenario, "ack_loss": ack_loss,
                 }}
-            else:  # hotspot / pattern carry their workload knobs in params
+            else:  # hotspot / pattern carry their spec fields in params
                 params = {**extra, "policy": policy, "seed": seed}
             tasks.append(
                 SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
@@ -275,136 +286,9 @@ def expand_grid(spec: dict) -> list[SimTask]:
 
 
 def _check_cell(kind: str, params: dict, where: str) -> None:
-    try:
-        if kind in SCENARIO_KINDS:
-            from repro.analysis.replay import scenario_spec
+    from repro.analysis.replay import scenario_spec
 
-            scenario_spec(kind, params)
-        else:
-            workload_kwargs(kind, params)
+    try:
+        scenario_spec(kind, params)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# hotspot / pattern params
-# ----------------------------------------------------------------------
-def _is_ints(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
-
-
-def _is_host_pairs(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        _is_ints(pair) and len(pair) == 2 for pair in value
-    )
-
-
-#: value checks by field annotation, for the dataclasses below and the
-#: ``BurstSchedule`` / ``NetworkConfig`` a task's params describe.
-_ANNOTATION_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "dict": (lambda v: isinstance(v, dict), "an object"),
-    "list[int]": (_is_ints, "a list of host ids"),
-    "list[tuple[int, int]]": (_is_host_pairs, "a list of [src, dst] host pairs"),
-}
-
-
-def _checked(schema, value, what: str, prefix: str = "") -> dict:
-    """``value``, refused with a ``ValueError`` naming the field unless it
-    is an object holding only fields of the dataclass ``schema``, every
-    field without a default, and each value of its annotated type."""
-    from repro.analysis.replay import _known_fields
-
-    _known_fields(value, schema, what)
-    known = {f.name: f for f in fields(schema)}
-    missing = [prefix + f.name for f in known.values()
-               if f.default is MISSING and f.name not in value]
-    if missing:
-        raise ValueError(f"missing required {what} field(s) {missing}")
-    for name, field_value in value.items():
-        annotation = known[name].type
-        check, kind = _ANNOTATION_CHECKS[annotation.removesuffix(" | None")]
-        if not (check(field_value) or (field_value is None and annotation.endswith("None"))):
-            raise ValueError(f"'{prefix}{name}' must be {kind}, got {reprlib.repr(field_value)}")
-    return value
-
-
-@dataclass(frozen=True, kw_only=True)
-class _WorkloadParams:
-    """The params of a ``hotspot`` or ``pattern`` task, with the defaults
-    of ``run_hotspot_workload`` / ``run_pattern_workload``."""
-
-    topology: str
-    policy: str
-    rate_mbps: float
-    seed: int = 0
-    idle_rate_mbps: float = 0.0
-    drain_s: float = 1e-3
-    config: dict | None = None
-    notification: str = "destination"
-    window_s: float = 50e-6
-    track_routers: bool = False
-    policy_kwargs: dict | None = None
-
-
-@dataclass(frozen=True, kw_only=True)
-class _HotspotParams(_WorkloadParams):
-    flows: list[tuple[int, int]]
-    schedule: dict
-    noise_rate_mbps: float = 0.0
-
-
-@dataclass(frozen=True, kw_only=True)
-class _PatternParams(_WorkloadParams):
-    pattern: str
-    hosts: list[int] | None = None
-    schedule: dict | None = None
-    duration_s: float = 1e-3
-
-
-def workload_kwargs(kind: str, params: dict) -> dict:
-    """Parse a ``hotspot`` or ``pattern`` task's params.
-
-    Returns the keyword arguments of
-    :func:`repro.experiments.runner.run_hotspot_workload` /
-    :func:`~repro.experiments.runner.run_pattern_workload` for the cell's
-    one policy and seed.  Missing, unknown and mistyped fields, inside
-    ``schedule`` and ``config`` too, raise ``ValueError`` naming the
-    field, and a ``hotspot`` schedule must set ``repetitions``.
-    ``params`` is never rewritten, so task keys and cached results stay
-    valid.
-    """
-    from repro.network.config import NetworkConfig
-    from repro.traffic.bursty import BurstSchedule
-
-    schema = {"hotspot": _HotspotParams, "pattern": _PatternParams}.get(kind)
-    if schema is None:
-        raise ValueError(f"unknown workload kind {kind!r} (expected 'hotspot' or 'pattern')")
-    p = schema(**_checked(schema, params, f"{kind} params"))
-    kwargs = {
-        "topology_factory": p.topology, "policies": [p.policy], "seeds": (p.seed,),
-        "rate_mbps": float(p.rate_mbps), "idle_rate_mbps": float(p.idle_rate_mbps),
-        "drain_s": float(p.drain_s), "notification": p.notification,
-        "window_s": float(p.window_s), "track_routers": p.track_routers,
-        "policy_kwargs": p.policy_kwargs, "config": None, "schedule": None,
-    }
-    if p.config is not None:
-        kwargs["config"] = NetworkConfig(**_checked(NetworkConfig, p.config, "config", "config."))
-    if p.schedule is not None:
-        s = _checked(BurstSchedule, p.schedule, "schedule", "schedule.")
-        kwargs["schedule"] = BurstSchedule(
-            on_s=float(s["on_s"]), off_s=float(s["off_s"]),
-            start_s=float(s.get("start_s", 0.0)), repetitions=s.get("repetitions"),
-        )
-    if kind == "hotspot":
-        if kwargs["schedule"].repetitions is None:
-            raise ValueError("'schedule.repetitions' must be set: a hot-spot schedule is bounded")
-        kwargs.update(flows=[tuple(flow) for flow in p.flows],
-                      noise_rate_mbps=float(p.noise_rate_mbps))
-    else:
-        kwargs.update(pattern=p.pattern, duration_s=float(p.duration_s),
-                      hosts=None if p.hosts is None else list(p.hosts))
-    return kwargs

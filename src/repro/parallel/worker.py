@@ -16,12 +16,11 @@ Task kinds
     scenario spine (:func:`repro.analysis.replay.scenario_spec`); result
     carries the event-trace and metrics SHA-256 digests.
 ``hotspot`` / ``pattern``
-    One (policy, seed) cell of
-    :func:`repro.experiments.runner.run_hotspot_workload` /
-    :func:`~repro.experiments.runner.run_pattern_workload` on a
-    declarative topology spec, its params parsed by
-    :func:`repro.parallel.tasks.workload_kwargs`; result is a lossless
-    :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
+    One (policy, seed) cell of :func:`repro.experiments.runner.run_policies`:
+    its params are the spec's own fields, parsed by the same
+    :func:`~repro.analysis.replay.scenario_spec`, and
+    :func:`~repro.experiments.runner.run_cell` runs it; result is a
+    lossless :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
 ``fault``
     One policy's seeded fault scenario through the same spine; result
     is a :class:`repro.faults.campaign.FaultRunResult` dict.
@@ -47,7 +46,7 @@ import os
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.parallel.tasks import SCENARIO_KINDS, SimTask, json_safe, workload_kwargs
+from repro.parallel.tasks import SimTask, json_safe
 
 __all__ = [
     "CHECKPOINTED_EXIT",
@@ -62,7 +61,7 @@ __all__ = [
 CHECKPOINTED_EXIT = 75
 
 #: task kinds the checkpoint runner can build and resume.
-RESUMABLE_KINDS = SCENARIO_KINDS
+RESUMABLE_KINDS = ("replay", "fault")
 
 #: one snapshot of a sweep-sized cell costs ~25 ms against ~120k
 #: simulated events/s, so a 200k cadence keeps the measured throughput
@@ -91,7 +90,12 @@ def _checkpoint_every() -> int:
 def _run_spec(kind: str, params: dict, tracer, metrics, metrics_cadence_s) -> dict:
     from repro.analysis.replay import build, scenario_spec, task_result
 
-    scenario = build(scenario_spec(kind, params), digest=True, tracer=tracer,
+    spec = scenario_spec(kind, params)
+    if kind not in RESUMABLE_KINDS:  # hotspot / pattern: a PolicyRun
+        from repro.experiments.runner import run_cell
+
+        return run_cell(spec, tracer, metrics, metrics_cadence_s).to_dict()
+    scenario = build(spec, digest=True, tracer=tracer,
                      metrics=metrics, metrics_cadence_s=metrics_cadence_s)
     scenario.sim.run(until=scenario.until)
     return task_result(scenario)
@@ -106,23 +110,11 @@ def _run_fault(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) 
 
 
 def _run_hotspot(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.experiments.runner import run_hotspot_workload
-
-    runs = run_hotspot_workload(
-        **workload_kwargs("hotspot", params),
-        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-    )
-    return runs[params["policy"]].to_dict()
+    return _run_spec("hotspot", params, tracer, metrics, metrics_cadence_s)
 
 
 def _run_pattern(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.experiments.runner import run_pattern_workload
-
-    runs = run_pattern_workload(
-        **workload_kwargs("pattern", params),
-        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-    )
-    return runs[params["policy"]].to_dict()
+    return _run_spec("pattern", params, tracer, metrics, metrics_cadence_s)
 
 
 def _run_selftest(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:

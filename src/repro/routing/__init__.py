@@ -21,6 +21,7 @@ from repro.routing.drb import DRBConfig, DRBPolicy
 from repro.routing.prdrb import PRDRBConfig, PRDRBPolicy
 from repro.routing.frdrb import FRDRBConfig, FRDRBPolicy
 from repro.routing.registry import (
+    check_policy_spec,
     config_factory,
     make_policy,
     parse_policy_spec,
@@ -47,6 +48,7 @@ __all__ = [
     "FRDRBPolicy",
     "NotifiedAdaptivePolicy",
     "UGALPolicy",
+    "check_policy_spec",
     "config_factory",
     "make_policy",
     "parse_policy_spec",

@@ -79,19 +79,15 @@ def test_missing_baseline_raises():
 
 
 def test_end_to_end_with_runner():
-    from repro.experiments.runner import run_hotspot_workload
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
+    from repro.analysis.replay import ScenarioSpec
+    from repro.experiments.runner import run_policies
 
-    runs = run_hotspot_workload(
-        lambda: Mesh2D(4),
-        ["deterministic", "drb"],
-        [(0, 15), (3, 11)],
-        rate_mbps=1500,
-        schedule=BurstSchedule(on_s=2e-4, off_s=1e-4, repetitions=2),
-        seeds=(0, 1),
-        drain_s=1e-3,
+    spec = ScenarioSpec(
+        policy="drb", seed=0, topology="mesh:4", flows=((0, 15), (3, 11)), rate_bps=1.5e9,
+        burst_on_s=2e-4, burst_off_s=1e-4, repetitions=2, noise_rate_bps=0.0,
+        idle_rate_bps=0.0, notification="destination", drain_s=1e-3,
     )
+    runs = run_policies(spec, ["deterministic", "drb"], seeds=(0, 1))
     ranked = compare_policies(runs, baseline="deterministic")
     assert ranked[0].policy == "drb"
     assert ranked[0].significant in (True, False)  # CIs exist with 2 seeds

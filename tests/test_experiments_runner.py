@@ -1,19 +1,19 @@
 """Tests for the policy-comparison runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.analysis.replay import ScenarioSpec, cell_params, scenario_spec
 from repro.apps.sweep3d import sweep3d_trace
 from repro.experiments.runner import (
     PolicyRun,
     _average_runs,
     improvement,
     run_app_workload,
-    run_hotspot_workload,
-    run_pattern_workload,
+    run_policies,
 )
-from repro.topology.mesh import Mesh2D
-from repro.traffic.bursty import BurstSchedule
 
 
 def test_improvement_signs():
@@ -61,91 +61,82 @@ def test_policy_run_row_and_peaks():
     assert row["accepted"] == 1.0
 
 
-def test_run_pattern_workload_compares_policies():
-    sched = BurstSchedule(on_s=1e-4, off_s=1e-4, repetitions=2)
-    runs = run_pattern_workload(
-        lambda: Mesh2D(4),
-        ["deterministic", "drb"],
-        "bit-reversal",
-        rate_mbps=400,
-        schedule=sched,
-        drain_s=5e-4,
+def _cell(**changes) -> ScenarioSpec:
+    """A small mesh:4 hot-spot cell; ``pattern=`` makes it a permutation."""
+    spec = ScenarioSpec(
+        policy="deterministic", seed=0, topology="mesh:4", flows=((0, 15), (3, 11)),
+        rate_bps=1.5e9, burst_on_s=2e-4, burst_off_s=1e-4, repetitions=2,
+        noise_rate_bps=0.0, idle_rate_bps=0.0, notification="destination", drain_s=1e-3,
     )
+    if "pattern" in changes:
+        spec = replace(spec, flows=(), hosts=16)
+    return replace(spec, **changes)
+
+
+def test_run_policies_compares_pattern_policies():
+    spec = _cell(pattern="bit-reversal", rate_bps=4e8, burst_on_s=1e-4, drain_s=5e-4)
+    runs = run_policies(spec, ["deterministic", "drb"])
     assert set(runs) == {"deterministic", "drb"}
     for r in runs.values():
         assert r.accepted_ratio == 1.0
         assert r.mean_latency_s > 0
 
 
-def test_run_pattern_workload_multi_seed_averages():
-    sched = BurstSchedule(on_s=1e-4, off_s=0.0, repetitions=1)
-    runs = run_pattern_workload(
-        lambda: Mesh2D(4),
-        ["deterministic"],
-        "uniform",
-        rate_mbps=200,
-        schedule=sched,
-        seeds=(0, 1, 2),
-        drain_s=5e-4,
-    )
+def test_run_policies_multi_seed_averages():
+    spec = _cell(pattern="uniform", rate_bps=2e8, burst_on_s=1e-4, burst_off_s=0.0,
+                 repetitions=1, drain_s=5e-4)
+    runs = run_policies(spec, ["deterministic"], seeds=(0, 1, 2))
     assert runs["deterministic"].seeds == 3
 
 
-def test_run_hotspot_workload_requires_bounded_schedule():
-    with pytest.raises(ValueError):
-        run_hotspot_workload(
-            lambda: Mesh2D(4),
-            ["deterministic"],
-            [(0, 15)],
-            rate_mbps=400,
-            schedule=BurstSchedule(on_s=1e-4, off_s=1e-4),  # unbounded
-        )
+def test_hotspot_cell_requires_bounded_schedule():
+    kind, params = cell_params(_cell())
+    assert scenario_spec(kind, params) == _cell()
+    for repetitions in (0, None):
+        with pytest.raises(ValueError, match="repetitions"):
+            scenario_spec(kind, {**params, "repetitions": repetitions})
 
 
-def test_run_hotspot_workload_produces_contention():
-    sched = BurstSchedule(on_s=2e-4, off_s=1e-4, repetitions=2)
-    runs = run_hotspot_workload(
-        lambda: Mesh2D(4),
-        ["deterministic"],
-        [(0, 15), (3, 11)],
-        rate_mbps=1500,
-        schedule=sched,
-        drain_s=1e-3,
-    )
+def test_run_policies_hotspot_produces_contention():
+    runs = run_policies(_cell(), ["deterministic"])
     assert runs["deterministic"].map_peak_s > 0
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "pattern"])
 def test_sweep_cells_parse_and_match_serial(kind):
-    """Every cell a runner fans out parses, and runs to the serial result."""
+    """Every cell the runner fans out parses, and runs to the serial result."""
     from repro.parallel import SweepConfig, SweepExecutor
-    from repro.parallel.tasks import workload_kwargs
 
     class Recording(SweepExecutor):
         def run_strict(self, tasks):
             for task in tasks:
-                workload_kwargs(task.kind, task.params)
+                assert task.kind == kind
+                scenario_spec(task.kind, task.params)
             return super().run_strict(tasks)
 
-    sched = BurstSchedule(on_s=1e-4, off_s=1e-4, repetitions=2)
-    if kind == "hotspot":
-        def run(**kw):
-            return run_hotspot_workload("mesh:4", ["deterministic", "drb"], [(0, 15)],
-                                        rate_mbps=400, schedule=sched, drain_s=5e-4, **kw)
-    else:
-        def run(**kw):
-            return run_pattern_workload("mesh:4", ["deterministic", "drb"], "bit-reversal",
-                                        rate_mbps=400, schedule=sched, drain_s=5e-4, **kw)
-    swept = run(executor=Recording(SweepConfig(code_version="test")))
-    serial = run()
+    spec = _cell(rate_bps=4e8, burst_on_s=1e-4, drain_s=5e-4)
+    if kind == "pattern":
+        spec = _cell(pattern="bit-reversal", rate_bps=4e8, burst_on_s=1e-4, drain_s=5e-4)
+    policies = ["deterministic", "drb"]
+    swept = run_policies(spec, policies, executor=Recording(SweepConfig(code_version="test")))
+    serial = run_policies(spec, policies)
     assert {p: r.to_dict() for p, r in swept.items()} == {
         p: r.to_dict() for p, r in serial.items()
     }
 
 
+def test_metrics_refuse_an_executor():
+    from repro.obs import MetricsRegistry
+    from repro.parallel import SweepConfig, SweepExecutor
+
+    with pytest.raises(ValueError, match="process boundary"):
+        run_policies(_cell(), ["drb"], metrics=MetricsRegistry(),
+                     executor=SweepExecutor(SweepConfig(code_version="test")))
+
+
 def test_run_app_workload_reports_execution_time():
     runs = run_app_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic", "drb"],
         sweep3d_trace,
         trace_kwargs={"num_ranks": 16, "iterations": 1},

@@ -80,15 +80,26 @@ def test_required_repetitions_degenerate_cases():
 
 
 def test_runner_attaches_ci_for_multi_seed():
-    from repro.experiments.runner import run_pattern_workload
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
+    from dataclasses import replace
 
-    runs = run_pattern_workload(
-        lambda: Mesh2D(4), ["deterministic"], "uniform", 200,
-        schedule=BurstSchedule(on_s=1e-4, off_s=0, repetitions=1),
-        seeds=(0, 1, 2),
+    from repro.analysis.replay import ScenarioSpec
+    from repro.experiments.runner import run_policies
+
+    # A congested, noise-free drb hot-spot: only the routing draw varies
+    # with the seed, so a zero-width CI means the seed never reached it.
+    hotspot = ScenarioSpec(
+        policy="drb", seed=0, topology="mesh:8", flows=((0, 37), (8, 45), (16, 53), (24, 61)),
+        rate_bps=1.3e9, burst_on_s=3e-4, burst_off_s=6e-4, repetitions=2,
+        noise_rate_bps=0.0, idle_rate_bps=0.0, notification="router", drain_s=8e-4,
     )
-    ci = runs["deterministic"].global_latency_ci
-    assert ci is not None and ci.samples == 3
-    assert ci.contains(runs["deterministic"].global_latency_s)
+    uniform = replace(
+        hotspot, policy="deterministic", topology="mesh:4", flows=(), rate_bps=2e8,
+        burst_on_s=1e-4, burst_off_s=0.0, repetitions=1, notification="destination",
+        drain_s=1e-3, pattern="uniform", hosts=16,
+    )
+    for spec in (uniform, hotspot):
+        run = run_policies(spec, [spec.policy], seeds=(0, 1, 2))[spec.policy]
+        ci = run.global_latency_ci
+        assert ci is not None and ci.samples == 3
+        assert ci.contains(run.global_latency_s)
+        assert ci.half_width > 0

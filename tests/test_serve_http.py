@@ -187,6 +187,11 @@ class TestEndToEnd:
             _post(base, "/jobs", {"policies": 5})
         assert err.value.code == 400
         assert "policies" in json.loads(err.value.read())["error"]
+        # an empty seed list is a 400, not a dropped connection
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/jobs", {"seeds": []})
+        assert err.value.code == 400
+        assert "seeds" in json.loads(err.value.read())["error"]
 
     @pytest.mark.parametrize(
         "path, length_header, status",
