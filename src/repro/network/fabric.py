@@ -508,7 +508,9 @@ class Fabric(Snapshottable):
         # Notify each distinct source among the dominant contending flows.
         notified: set[int] = set()
         for flow in flows:
-            if flow.src in notified:
+            # A router-injected predictive ACK (src -1) queued at the port
+            # is a contending flow too, but it has no source to notify.
+            if flow.src < 0 or flow.src in notified:
                 continue
             notified.add(flow.src)
             src_router = self.topology.host_router(flow.src)

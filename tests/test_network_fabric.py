@@ -114,6 +114,17 @@ def test_router_based_notification_emits_predictive_acks():
     assert fabric.predictive_acks_delivered > 0
 
 
+def test_router_notification_skips_router_injected_flows():
+    # Predictive ACKs (src -1) sharing a congested port show up among its
+    # contending flows; only the data flow's source is notified.
+    fabric, sim, _ = make_fabric(policy=DRBPolicy(), notification=ROUTER_BASED)
+    router = fabric.routers[5]
+    flows = [ContendingFlow(-1, 3), ContendingFlow(0, 15)]
+    assert fabric._router_congestion(router, None, None, 1e-6, flows, 0.0)
+    sim.run()
+    assert fabric.predictive_acks_delivered == 1
+
+
 def test_unknown_notification_mode_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
