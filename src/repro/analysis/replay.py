@@ -107,17 +107,27 @@ class ReplayReport:
 #: uninterrupted one and the digests stay bit-identical.
 _DIGEST_BLOCK_EVENTS = 4096
 
+#: an event record's head: ``(time, priority, sequence)``.
+_EVENT_HEAD = struct.Struct("<dii")
+
+#: callback label bytes by ``__qualname__``: one entry per distinct
+#: qualname in the program.  Never keyed by the callback object, since
+#: every bound method, closure or lambda instance is a new object.
+_LABELS: dict[str, bytes] = {}
+
 
 class EventTraceDigest(Snapshottable):
     """Block-chained SHA-256 over the executed event sequence.
 
-    Event records accumulate in a byte buffer; every
-    :data:`_DIGEST_BLOCK_EVENTS` events the buffer is folded into a
-    running 32-byte chain value (``chain = sha256(chain + block)``).  The
-    final digest is ``sha256(chain + tail)``.  Unlike a streaming
-    ``hashlib`` object, the ``(chain, buffer, events)`` triple is plain
-    picklable state, so a checkpoint can carry the digest mid-run and a
-    restored process continues it exactly (docs/checkpoint.md).
+    Each event adds ``struct.pack("<dii", time, priority, sequence)``
+    plus its callback's UTF-8 ``__qualname__`` (its ``repr`` when it has
+    none) to a byte buffer; every :data:`_DIGEST_BLOCK_EVENTS` events
+    the buffer is folded into a running 32-byte chain value
+    (``chain = sha256(chain + block)``).  The final digest is
+    ``sha256(chain + tail)``.  Unlike a streaming ``hashlib`` object,
+    the ``(chain, buffer, events)`` triple is plain picklable state, so
+    a checkpoint can carry the digest mid-run and a restored process
+    continues it exactly (docs/checkpoint.md).
     """
 
     _snapshot_fields_: ClassVar[tuple[str, ...]] = ("events", "_chain", "_buffer")
@@ -132,12 +142,20 @@ class EventTraceDigest(Snapshottable):
         return self
 
     def update(self, event) -> None:
+        # An event is a list ``[time, priority, sequence, fn, ...]``
+        # (repro.sim.engine.Event); indexing skips four property calls.
         self.events += 1
-        fn = event.fn
-        label = getattr(fn, "__qualname__", repr(fn))
+        fn = event[3]
+        qualname = getattr(fn, "__qualname__", None)
+        if qualname is None:
+            label = repr(fn).encode("utf-8")
+        else:
+            label = _LABELS.get(qualname)
+            if label is None:
+                label = _LABELS[qualname] = qualname.encode("utf-8")
         buffer = self._buffer
-        buffer += struct.pack("<dii", event.time, event.priority, event.sequence)
-        buffer += label.encode("utf-8")
+        buffer += _EVENT_HEAD.pack(event[0], event[1], event[2])
+        buffer += label
         if self.events % _DIGEST_BLOCK_EVENTS == 0:
             self._chain = hashlib.sha256(self._chain + buffer).digest()
             del buffer[:]
@@ -176,16 +194,18 @@ def digest_metrics(fabric, recorder, policy) -> str:
     add_floats([recorder.global_average_latency_s])
     # Policy statistics: a plain dict of counters/floats; sort for a
     # canonical order and hash floats exactly.
-    for key in sorted(policy.stats()):
-        value = policy.stats()[key]
+    stats = policy.stats()
+    for key in sorted(stats):
+        value = stats[key]
         add_text(f"{key}=")
         if isinstance(value, float):
             add_floats([value])
         else:
             add_text(repr(value))
-    for router_id in sorted(fabric.contention_map()):
+    contention = fabric.contention_map()
+    for router_id in sorted(contention):
         add_text(f"router{router_id}=")
-        add_floats([fabric.contention_map()[router_id]])
+        add_floats([contention[router_id]])
     return sha.hexdigest()
 
 

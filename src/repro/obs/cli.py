@@ -41,6 +41,7 @@ from repro.obs.tracer import (
     TraceRecord,
     Tracer,
     category,
+    parse_trace_line,
     read_trace,
 )
 
@@ -189,6 +190,7 @@ def tail_trace(
     stream = out or sys.stdout
     printed = 0
     pending = ""
+    number = 0
     with open(path, "r", encoding="utf-8") as fh:
         idle_since = time.monotonic()  # repro: allow(no-wall-clock)
         while True:
@@ -199,13 +201,13 @@ def tail_trace(
                     # A writer is mid-line; wait for the rest.
                     continue
                 line, pending = pending.strip(), ""
+                number += 1
                 idle_since = time.monotonic()  # repro: allow(no-wall-clock)
                 if not line:
                     continue
-                obj = json.loads(line)
-                if obj.get("type") == "header":
+                record = parse_trace_line(line, f"{path}:{number}")
+                if record is None:
                     continue
-                record = TraceRecord.from_json_obj(obj)
                 if not _record_matches(record, names, tracks):
                     continue
                 print(render_record(record), file=stream)
@@ -377,6 +379,54 @@ def selftest(quick: bool = False, verbose: bool = True) -> int:
     return 0
 
 
+def _trace_command(args) -> int:
+    """Run a command that reads trace files: summarize, export, tail, diff."""
+    if args.command == "summarize":
+        header, records = read_trace(args.trace)
+        summary = summarize(records, header)
+        if args.json:
+            print(json.dumps(summary, indent=2, sort_keys=True))
+        else:
+            _print_summary(summary)
+        return 0
+
+    if args.command == "export":
+        header, records = read_trace(args.trace)
+        if args.format == "perfetto":
+            write_perfetto(args.out, records, label=header.get("label", ""))
+        elif args.format == "prometheus":
+            text = export_prometheus(registry_from_records(records))
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sink = JsonlSink(args.out, label=header.get("label", ""))
+            for record in records:
+                sink.write(record)
+            sink.close()
+        print(f"wrote {args.out}")
+        return 0
+
+    if args.command == "tail":
+        tail_trace(
+            args.trace,
+            names=args.names,
+            tracks=args.tracks,
+            follow=args.follow,
+            interval_s=args.interval,
+            max_records=args.max_records,
+            idle_timeout_s=args.idle_timeout,
+        )
+        return 0
+
+    problems = diff_traces(args.trace_a, args.trace_b)  # diff
+    if problems:
+        for problem in problems:
+            print(problem)
+        return 1
+    print("traces identical (header exempt)")
+    return 0
+
+
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -437,51 +487,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "summarize":
-        header, records = read_trace(args.trace)
-        summary = summarize(records, header)
-        if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            _print_summary(summary)
-        return 0
-
-    if args.command == "export":
-        header, records = read_trace(args.trace)
-        if args.format == "perfetto":
-            write_perfetto(args.out, records, label=header.get("label", ""))
-        elif args.format == "prometheus":
-            text = export_prometheus(registry_from_records(records))
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sink = JsonlSink(args.out, label=header.get("label", ""))
-            for record in records:
-                sink.write(record)
-            sink.close()
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "tail":
-        tail_trace(
-            args.trace,
-            names=args.names,
-            tracks=args.tracks,
-            follow=args.follow,
-            interval_s=args.interval,
-            max_records=args.max_records,
-            idle_timeout_s=args.idle_timeout,
-        )
-        return 0
-
-    if args.command == "diff":
-        problems = diff_traces(args.trace_a, args.trace_b)
-        if problems:
-            for problem in problems:
-                print(problem)
-            return 1
-        print("traces identical (header exempt)")
-        return 0
+    if args.command in ("summarize", "export", "tail", "diff"):
+        try:
+            return _trace_command(args)
+        except (OSError, ValueError) as exc:
+            # A missing file or malformed line: the message names it.
+            print(f"python -m repro.obs {args.command}: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "record":
         summary = record_pinned(

@@ -181,7 +181,7 @@ class MetricsRegistry:
         self._next_due = sim.now + cadence_s
 
         def on_event(event) -> None:
-            t = event.time
+            t = event[0]  # Event.time, read by index on every event
             while t >= self._next_due:
                 self.snapshot(self._next_due)
                 self._next_due += cadence_s

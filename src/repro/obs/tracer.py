@@ -34,6 +34,8 @@ the *header* line (its ``label``), which diff/compare logic exempts.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from collections import deque
 from typing import Any, NamedTuple, Optional
 
@@ -193,6 +195,60 @@ class JsonlSink:
             self._fh.close()
 
 
+_NUMBER = (int, float)
+#: record field -> the JSON types its value may take (``bool`` never
+#: counts as a number).
+_RECORD_TYPES: dict[str, tuple[type, ...]] = {
+    "name": (str,),
+    "ts": _NUMBER,
+    "track": (list,),
+    "ph": (str,),
+    "dur": _NUMBER,
+    "args": (dict, type(None)),
+}
+#: the largest finite time; also refuses integers no float can hold.
+_FLOAT_MAX = sys.float_info.max
+_REQUIRED = ("name", "ts", "track")
+
+
+def parse_trace_line(line: str, where: str) -> Optional[TraceRecord]:
+    """One stripped JSONL trace line as a record; ``None`` for a header.
+
+    A line that is not a JSON object, or whose ``name``, ``ts``,
+    ``track``, ``ph``, ``dur`` or ``args`` is missing or mistyped, raises
+    ``ValueError`` naming ``where`` (``path:line``).  A track is a
+    ``[kind, ident]`` pair: a string kind and a string or integer ident.
+    """
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{where}: not a JSON line ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: a trace line must be a JSON object, "
+                         f"got {type(obj).__name__}")
+    if obj.get("type") == "header":
+        return None
+    for field in _REQUIRED:
+        if field not in obj:
+            raise ValueError(f"{where}: record has no {field!r}")
+    for field, types in _RECORD_TYPES.items():
+        if field not in obj:
+            continue
+        value = obj[field]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{where}: record field {field!r} has type "
+                             f"{type(value).__name__}")
+        if types is _NUMBER and not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"{where}: record field {field!r} must be finite, "
+                             f"got {reprlib.repr(value)}")
+    track = obj["track"]
+    if (len(track) != 2 or not isinstance(track[0], str)
+            or isinstance(track[1], bool) or not isinstance(track[1], (str, int))):
+        raise ValueError(f"{where}: record field 'track' must be [kind, ident], "
+                         f"got {reprlib.repr(track)}")
+    return TraceRecord.from_json_obj(obj)
+
+
 def read_trace(path) -> tuple[dict, list[TraceRecord]]:
     """Load a JSONL trace: ``(header, records)``.
 
@@ -200,19 +256,20 @@ def read_trace(path) -> tuple[dict, list[TraceRecord]]:
     reader also works on hand-built fixtures.  Duplicate header lines —
     what concatenating trace files (``cat a.jsonl b.jsonl``) leaves
     mid-file — are skipped: the first header wins, later ones are
-    neither records nor errors.
+    neither records nor errors.  A malformed line raises ``ValueError``
+    naming the file and line (:func:`parse_trace_line`).
     """
     header: dict = {}
     records: list[TraceRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if obj.get("type") == "header":
+            record = parse_trace_line(line, f"{path}:{number}")
+            if record is None:
                 if not header:
-                    header = obj
+                    header = json.loads(line)
                 continue
-            records.append(TraceRecord.from_json_obj(obj))
+            records.append(record)
     return header, records

@@ -241,10 +241,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     os.makedirs(args.cache_dir, exist_ok=True)
     journal = args.journal or os.path.join(args.cache_dir, "jobs.jsonl")
-    service = SimulationService(
-        cache_dir=args.cache_dir, journal_path=journal,
-        workers=args.workers, cadence_s=args.cadence,
-    )
+    try:
+        service = SimulationService(
+            cache_dir=args.cache_dir, journal_path=journal,
+            workers=args.workers, cadence_s=args.cadence,
+        )
+    except ValueError as exc:  # a malformed journal line, named
+        print(f"python -m repro.serve: {exc}", file=sys.stderr)
+        return 2
     server = make_server(service, host=args.host, port=args.port)
     actual_port = server.server_address[1]
     print(

@@ -37,7 +37,6 @@ class KaryNTree(Topology):
         self.k = k
         self.n = n
         self._switches_per_level = k ** (n - 1)
-        self._route_cache: dict[tuple[int, int], Path] = {}
 
     # -- digit helpers ---------------------------------------------------
     def host_digits(self, host: int) -> tuple[int, ...]:
@@ -161,9 +160,6 @@ class KaryNTree(Topology):
         """
         if src_router == dst_router:
             return (src_router,)
-        cached = self._route_cache.get((src_router, dst_router))
-        if cached is not None:
-            return cached
         parent: dict[int, int] = {src_router: -1}
         frontier = [src_router]
         while frontier and dst_router not in parent:
@@ -181,9 +177,7 @@ class KaryNTree(Topology):
         path = [dst_router]
         while path[-1] != src_router:
             path.append(parent[path[-1]])
-        route = tuple(reversed(path))
-        self._route_cache[(src_router, dst_router)] = route
-        return route
+        return tuple(reversed(path))
 
     def host_minimal_route(self, src_host: int, dst_host: int) -> Path:
         """Deterministic leaf-to-leaf route (destination digits ascend)."""

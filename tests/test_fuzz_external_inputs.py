@@ -1,21 +1,30 @@
-"""Fuzzers for the strings and bodies that arrive from outside.
+"""Fuzzers for the strings, bodies and files that arrive from outside.
 
 A job-spec body (``POST /jobs``, ``python -m repro.parallel``), a policy
-spec string and a topology spec string are user input: a malformed one
-must fail with a ``ValueError`` naming what is wrong (a 400 at the HTTP
-layer), never with a ``TypeError``, ``IndexError`` or ``AttributeError``
+spec string, a topology spec string, a JSONL trace file and the job
+journal are outside input: a malformed one must fail with a
+``ValueError`` naming what is wrong (a 400 at the HTTP layer), never
+with a ``TypeError``, ``IndexError``, ``KeyError`` or ``AttributeError``
 from deep inside a parser or a constructor.
 """
 
+import io
+import json
+import os
+import tempfile
 from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.replay import CELL_FIELDS
 from repro.faults.campaign import FaultCampaignSpec
 from repro.network.config import ReliabilityConfig
+from repro.obs.cli import main as obs_main, tail_trace
+from repro.obs.tracer import read_trace
 from repro.parallel.tasks import SERVABLE_KINDS, expand_grid
 from repro.routing import make_policy, registered_policies
+from repro.serve.jobs import JobStore
 from repro.topology import make_topology
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -117,3 +126,78 @@ def test_make_topology_refuses_only_with_value_error(spec):
         make_topology(spec)
     except ValueError:
         pass
+
+
+def _lines(records):
+    """Journal or trace lines: JSON records, other JSON values and raw text
+    (lone surrogates included, written out as invalid UTF-8)."""
+    return st.lists(records.map(json.dumps) | json_values.map(json.dumps)
+                    | st.text(max_size=12), max_size=4)
+
+
+def _write(directory, name, lines, terminated=True) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + ("\n" if terminated else "")).encode(
+            "utf-8", "surrogatepass"))
+    return path
+
+
+numbers = json_values | st.integers() | st.sampled_from([1e999, -1e999, 10**400])
+trace_records = st.fixed_dictionaries({}, optional={
+    "name": json_values, "ts": numbers, "track": st.lists(json_scalars, max_size=3) | numbers,
+    "ph": json_values, "dur": numbers, "args": json_values,
+    "type": st.just("header") | json_values,
+})
+
+
+@FUZZ
+@given(_lines(trace_records))
+def test_trace_readers_refuse_only_with_value_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "t.jsonl", lines)
+        try:
+            read_trace(path)
+        except ValueError:
+            pass
+        try:
+            tail_trace(path, out=io.StringIO())
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("line", [
+    "[1,2]", '{"name":"x"}', '{"name":"x","ts":0,"track":5}',
+    pytest.param('{"name":"x","ts":' + "9" * 400 + ',"track":["fabric",0]}', id="huge-ts"),
+])
+def test_bad_trace_line_is_named_and_the_cli_exits_without_traceback(line, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "t.jsonl", ['{"type":"header"}', line])
+        with pytest.raises(ValueError, match="t.jsonl:2: "):
+            read_trace(path)
+        for command in ("summarize", "tail"):
+            assert obs_main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert "t.jsonl:2: " in err and "Traceback" not in err
+
+
+job_records = st.fixed_dictionaries({}, optional={
+    name: json_values | st.integers() for name in ("id", "spec", "grid_key", "state", "total",
+                                                   "wall_s", "error", "cells", "bogus")
+})
+journal_records = st.fixed_dictionaries(
+    {}, optional={"op": st.just("job") | json_values, "job": job_records | json_values})
+
+
+@FUZZ
+@given(_lines(journal_records), st.booleans())
+def test_journal_replay_refuses_only_with_value_error(lines, terminated):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "jobs.jsonl", lines, terminated)
+        try:
+            store = JobStore(path)
+        except ValueError:
+            return
+        store.create({}, "abcd", total=1)
+        store.close()
+        JobStore(path).close()  # what one start wrote, the next reads
