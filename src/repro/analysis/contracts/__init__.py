@@ -4,7 +4,7 @@ Where :mod:`repro.analysis.lint` checks one file at a time, the contract
 passes here reason over a shared :class:`~repro.analysis.contracts.graph.
 ModuleGraph` — every module under the analyzed roots parsed once, with a
 symbol table of classes (slots, fields, bases), functions (signatures),
-and imports.  Six passes enforce the contracts the reproduction's
+and imports.  Five passes enforce the contracts the reproduction's
 bit-stability rests on:
 
 ``digest-purity``
@@ -22,9 +22,6 @@ bit-stability rests on:
     attribute).
 ``frozen-stats-keys``
     ``stats()`` key sets are append-only versus ``stats_manifest.json``.
-``snapshot-coverage``
-    Every attribute a ``Snapshottable`` class introduces is declared in
-    ``_snapshot_fields_``/``_snapshot_exclude_`` (docs/checkpoint.md).
 
 Findings share the lint reporting stack (:mod:`repro.analysis.reporting`):
 ``# repro: allow(<rule>)`` pragmas, ratchet baselines, text/JSON/SARIF.
@@ -40,7 +37,6 @@ from repro.analysis.contracts.callbacks import SchedulerCallbackPass
 from repro.analysis.contracts.graph import ModuleGraph
 from repro.analysis.contracts.purity import DigestPurityPass
 from repro.analysis.contracts.slots import SlotsConsistencyPass
-from repro.analysis.contracts.snapshots import SnapshotCoveragePass
 from repro.analysis.contracts.spawnsafe import SpawnSafetyPass
 from repro.analysis.contracts.statskeys import (
     FrozenStatsKeysPass,
@@ -71,7 +67,6 @@ PASS_CATALOGUE: dict[str, str] = {
     SlotsConsistencyPass.name: SlotsConsistencyPass.summary,
     SchedulerCallbackPass.name: SchedulerCallbackPass.summary,
     FrozenStatsKeysPass.name: FrozenStatsKeysPass.summary,
-    SnapshotCoveragePass.name: SnapshotCoveragePass.summary,
 }
 
 
@@ -95,7 +90,6 @@ def _build_passes(
         SlotsConsistencyPass.name: lambda: SlotsConsistencyPass(),
         SchedulerCallbackPass.name: lambda: SchedulerCallbackPass(),
         FrozenStatsKeysPass.name: lambda: FrozenStatsKeysPass(manifest_path),
-        SnapshotCoveragePass.name: lambda: SnapshotCoveragePass(),
     }
     selected = list(names) if names else list(PASS_CATALOGUE)
     unknown = [n for n in selected if n not in registry]

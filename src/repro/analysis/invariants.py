@@ -5,7 +5,7 @@ and asserts, while events execute, the properties every refactor of the
 engine/fabric/routing stack must preserve:
 
 * **clock monotonicity** — event times never run backwards (checked on
-  every executed event via :attr:`Simulator.event_hook`);
+  every executed event via :meth:`Simulator.add_observer`);
 * **packet conservation** — every injected data packet is delivered,
   dropped (see ``Fabric.dropped_by_reason``), or still in flight (in the
   calendar or a VC queue); nothing is silently lost or double-counted.

@@ -8,7 +8,7 @@ scenario N times with the same root seed and diffs two digests per run:
 
 * the **event-trace digest** — a SHA-256 over every executed event's
   ``(time, priority, sequence, callback)`` tuple, captured through
-  :attr:`Simulator.event_hook`.  Any divergence in scheduling order or
+  :meth:`Simulator.add_observer`.  Any divergence in scheduling order or
   timing shows up here first.
 * the **metrics digest** — a SHA-256 over the recorder's per-packet
   latencies, windowed series, fabric counters and policy statistics (the
@@ -27,9 +27,7 @@ import numbers
 import reprlib
 import struct
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
-
-from repro.checkpoint.state import Snapshottable
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultPlan
@@ -102,9 +100,7 @@ class ReplayReport:
         }
 
 
-#: events per chain fold; boundaries depend only on the event *count*,
-#: so an interrupted-and-resumed run folds at the same points as an
-#: uninterrupted one and the digests stay bit-identical.
+#: events per chain fold; boundaries depend only on the event *count*.
 _DIGEST_BLOCK_EVENTS = 4096
 
 #: an event record's head: ``(time, priority, sequence)``.
@@ -116,7 +112,7 @@ _EVENT_HEAD = struct.Struct("<dii")
 _LABELS: dict[str, bytes] = {}
 
 
-class EventTraceDigest(Snapshottable):
+class EventTraceDigest:
     """Block-chained SHA-256 over the executed event sequence.
 
     Each event adds ``struct.pack("<dii", time, priority, sequence)``
@@ -124,13 +120,10 @@ class EventTraceDigest(Snapshottable):
     none) to a byte buffer; every :data:`_DIGEST_BLOCK_EVENTS` events
     the buffer is folded into a running 32-byte chain value
     (``chain = sha256(chain + block)``).  The final digest is
-    ``sha256(chain + tail)``.  Unlike a streaming ``hashlib`` object,
-    the ``(chain, buffer, events)`` triple is plain picklable state, so
-    a checkpoint can carry the digest mid-run and a restored process
-    continues it exactly (docs/checkpoint.md).
+    ``sha256(chain + tail)``.  The fold is a fixed format:
+    ``src/repro/perf/baseline.json`` and ``perfbench/reference.json``
+    commit digests in it, so changing it re-baselines every one of them.
     """
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("events", "_chain", "_buffer")
 
     def __init__(self) -> None:
         self.events = 0
@@ -448,8 +441,6 @@ def scenario_spec(kind: str, params: dict) -> ScenarioSpec:
 
         params = _known_fields(params, ("policy", "spec"), kind)
         data = _typed_fields(params.get("spec", {}), FaultCampaignSpec, "fault spec")
-        for name, least in (("mesh_side", 2), ("repetitions", 1)):
-            _int_param(data, name, least, least=least)
         if "reliability" in data:
             data["reliability"] = ReliabilityConfig(
                 **_typed_fields(data["reliability"], ReliabilityConfig, "reliability")
@@ -474,46 +465,19 @@ def cell_params(spec: ScenarioSpec) -> tuple[str, dict]:
     return kind, params
 
 
-def _task_params(spec: ScenarioSpec) -> tuple[str, dict]:
-    """The ``(kind, params)`` that :func:`scenario_spec` parses into
-    ``spec``; ``ValueError`` for a spec no task describes."""
-    from repro.faults.campaign import FaultCampaignSpec
-
-    scenario = {"seed": spec.seed, "repetitions": spec.repetitions,
-                "mesh_side": int(spec.topology.removeprefix("mesh:"))}
-    if spec.faults is None:
-        kind, params = "replay", {"policy": spec.policy, **scenario}
-    else:
-        campaign = FaultCampaignSpec(
-            **vars(spec.faults), notification=spec.notification, **scenario
-        )
-        kind, params = "fault", {"policy": spec.policy, "spec": campaign.to_dict()}
-    if scenario_spec(kind, params) != spec:
-        raise ValueError(f"not a replay or fault scenario: {spec!r}")
-    return kind, params
-
-
-#: :class:`Scenario` fields a checkpoint carries, in payload order; the
-#: last two only when the spec has faults.
-_ROOTS = ("until", "sim", "streams", "trace", "recorder", "policy_obj",
-          "fabric", "workload", "transport", "injector")
-
-
 @dataclass
 class Scenario:
     """A built scenario: workload started, clock not yet run to the end.
 
     ``run_scenario`` is :func:`build` → ``sim.run(until)`` →
-    :func:`finish`; the split exists so :mod:`repro.checkpoint` can stop
-    anywhere in the middle, snapshot the live graph, and a restored
-    process can finish the run and produce the same :class:`RunDigest`.
+    :func:`finish`; the split lets the throughput timers
+    (``benchmarks/timing.py``, perfbench) time ``sim.run`` alone.
     """
 
     spec: ScenarioSpec
     #: simulated stop time; ``None`` when the spec has no drain.
     until: Optional[float]
     sim: Simulator
-    streams: object
     trace: Optional[EventTraceDigest]
     recorder: StatsRecorder
     policy_obj: RoutingPolicy
@@ -522,18 +486,6 @@ class Scenario:
     transport: object = None
     injector: object = None
     invariants: object = None
-
-    def checkpoint_roots(self) -> dict:
-        """The named object-graph roots a checkpoint payload carries
-        (shared identities survive the single ``pickle.dumps``)."""
-        kind, params = _task_params(self.spec)
-        names = _ROOTS if self.spec.faults is not None else _ROOTS[:-2]
-        return {"kind": kind, "params": params, **{n: getattr(self, n) for n in names}}
-
-    @classmethod
-    def from_checkpoint_roots(cls, roots: dict) -> "Scenario":
-        spec = scenario_spec(roots["kind"], roots["params"])
-        return cls(spec=spec, **{name: roots.get(name) for name in _ROOTS})
 
 
 def build(
@@ -608,7 +560,7 @@ def build(
         workload = hotspot
     return Scenario(
         spec=spec, until=None if spec.drain_s is None else stop + spec.drain_s,
-        sim=sim, streams=streams, trace=trace, recorder=net.recorder,
+        sim=sim, trace=trace, recorder=net.recorder,
         policy_obj=net.policy, fabric=fabric, workload=workload,
         transport=transport, injector=injector, invariants=invariants,
     )

@@ -10,29 +10,12 @@ path at a time; PR-DRB may jump straight to a saved configuration
 
 from __future__ import annotations
 
-from typing import ClassVar
-
-from repro.checkpoint.state import Snapshottable
 from repro.core.msp import MultiStepPath
 from repro.topology.base import Path
 
 
-class Metapath(Snapshottable):
+class Metapath:
     """Alternative-path set and Eq. 3.4 latency aggregate for one flow."""
-
-    #: the memo caches ride along too — a restored metapath must serve the
-    #: exact same cached PDF/CDF objects the uninterrupted run would have.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "msps",
-        "active_count",
-        "_active",
-        "version",
-        "_active_tuple",
-        "_active_list",
-        "_latency_cache",
-        "_pdf_cache",
-        "_cdf_cache",
-    )
 
     def __init__(
         self,

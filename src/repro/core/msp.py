@@ -11,25 +11,13 @@ accumulated queueing delay (measured by the routers' LU modules).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
-from repro.checkpoint.state import Snapshottable
 from repro.topology.base import Path
 
 
 @dataclass
-class MultiStepPath(Snapshottable):
+class MultiStepPath:
     """One alternative path with its live latency estimate."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "path",
-        "per_hop_cost_s",
-        "alpha",
-        "queueing_s",
-        "samples",
-        "awaiting_ack",
-        "_latency_s",
-    )
 
     path: Path
     #: static per-hop cost: serialization + routing delay, seconds.

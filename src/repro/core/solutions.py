@@ -11,9 +11,7 @@ configuration is found for the same pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
-from repro.checkpoint.state import Snapshottable
 from repro.core.contending import (
     FlowSignature,
     overlap_similarity,
@@ -27,15 +25,8 @@ _SIMILARITIES = {
 
 
 @dataclass
-class SavedSolution(Snapshottable):
+class SavedSolution:
     """A remembered answer to one congestion pattern."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "signature",
-        "path_indices",
-        "achieved_latency_s",
-        "reuse_count",
-    )
 
     signature: FlowSignature
     #: metapath MSP indices that controlled the congestion.
@@ -51,22 +42,13 @@ class SavedSolution(Snapshottable):
 
 
 @dataclass
-class SolutionDatabase(Snapshottable):
+class SolutionDatabase:
     """Per-flow store of congestion patterns and their best solutions.
 
     ``similarity`` selects the approximate-matching flavour: ``"overlap"``
     (default — containment-style, lets a partially-reported recurring
     pattern match its remembered full signature) or ``"jaccard"``.
     """
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "match_threshold",
-        "similarity",
-        "solutions",
-        "lookups",
-        "hits",
-        "invalidated",
-    )
 
     match_threshold: float = 0.8
     similarity: str = "overlap"

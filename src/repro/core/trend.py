@@ -14,22 +14,12 @@ the early trigger.
 from __future__ import annotations
 
 from collections import deque
-from typing import ClassVar
 
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 
-
-class TrendDetector(Snapshottable):
+class TrendDetector:
     """Sliding-window linear trend over latency samples."""
-
-    #: the deque pickles with its maxlen, so the sliding window survives.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "window",
-        "min_samples",
-        "_samples",
-    )
 
     def __init__(self, window: int = 8, min_samples: int = 4) -> None:
         if window < 2 or min_samples < 2:

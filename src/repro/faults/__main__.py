@@ -48,13 +48,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
-    spec = FaultCampaignSpec(
-        seed=args.seed,
-        mesh_side=args.mesh_side,
-        repetitions=args.repetitions,
-        ack_loss=args.ack_loss,
-        stochastic=args.stochastic,
-    )
+    try:
+        spec = FaultCampaignSpec(
+            seed=args.seed,
+            mesh_side=args.mesh_side,
+            repetitions=args.repetitions,
+            ack_loss=args.ack_loss,
+            stochastic=args.stochastic,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     results = run_fault_campaign(args.policies, spec)
     reports = [results[p].report for p in args.policies]
     if args.json:

@@ -52,6 +52,17 @@ class FaultPlan:
     mttr_s: float = 1.5e-4
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.ack_loss <= 1:
+            raise ValueError(f"'ack_loss' must be in [0, 1], got {self.ack_loss}")
+        if self.stochastic:
+            for name in ("mtbf_s", "mttr_s"):
+                if not getattr(self, name) > 0:
+                    raise ValueError(
+                        f"{name!r} must be > 0 when 'stochastic' is set, "
+                        f"got {getattr(self, name)}"
+                    )
+
     def models(self, topology, flows, schedule) -> list:
         """The fault models against a built topology and its workload."""
         from repro.faults.models import AckLoss, LinkFlap, StochasticLinkFlaps
@@ -88,6 +99,12 @@ class FaultCampaignSpec(FaultPlan):
     mesh_side: int = 4
     repetitions: int = 3
     notification: str = "router"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name, least in (("seed", 0), ("mesh_side", 2), ("repetitions", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name!r} must be >= {least}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         """JSON form: the ``spec`` of a ``fault`` task's params, which

@@ -12,22 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
-
-from repro.checkpoint.state import Snapshottable
 
 __all__ = ["FaultEpisode", "FaultInjector"]
 
 
 @dataclass
-class FaultEpisode(Snapshottable):
+class FaultEpisode:
     """One closed fail -> restore cycle of a link."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "link",
-        "failed_at_s",
-        "restored_at_s",
-    )
 
     link: tuple[int, int]
     failed_at_s: float
@@ -42,18 +33,8 @@ class FaultEpisode(Snapshottable):
         return self.restored_at_s - self.failed_at_s
 
 
-class FaultInjector(Snapshottable):
+class FaultInjector:
     """Schedules fault events on a fabric and records what happened."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "fabric",
-        "sim",
-        "rng",
-        "log",
-        "episodes",
-        "_open",
-        "_filters",
-    )
 
     def __init__(self, fabric, rng=None) -> None:
         self.fabric = fabric

@@ -121,12 +121,7 @@ class AckLoss:
 
 
 class _AckLossFilter:
-    """Callable filter for :class:`AckLoss`.
-
-    A module-level class (not a closure) so that an armed filter — and the
-    RNG stream position it shares with the injector — pickles into
-    checkpoints and resumes bit-identically.
-    """
+    """Callable filter for :class:`AckLoss`."""
 
     __slots__ = ("model", "rng")
 

@@ -24,9 +24,8 @@ which is what the delivered-under-fault ratio is measured against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import Optional
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.config import ReliabilityConfig
 from repro.network.packet import DATA, Packet
 from repro.sim.engine import Event
@@ -35,19 +34,8 @@ __all__ = ["ReliableTransport"]
 
 
 @dataclass
-class _Pending(Snapshottable):
+class _Pending:
     """Book-keeping for one unacknowledged logical packet."""
-
-    #: ``timer`` is the live heap entry itself — pickling it through the
-    #: same graph as the engine queue preserves the identity, so a
-    #: restored transport can still cancel the restored event.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "packet",
-        "retries",
-        "timer",
-        "nacks",
-        "sent_at",
-    )
 
     packet: Packet
     retries: int = 0
@@ -56,21 +44,8 @@ class _Pending(Snapshottable):
     sent_at: float = field(default=0.0)
 
 
-class ReliableTransport(Snapshottable):
+class ReliableTransport:
     """Per-flow sequencing, retransmission and duplicate bookkeeping."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "fabric",
-        "sim",
-        "config",
-        "_next_seq",
-        "_pending",
-        "logical_packets",
-        "retransmissions",
-        "recovered",
-        "abandoned",
-        "recovery_latencies_s",
-    )
 
     def __init__(self, fabric, config: ReliabilityConfig | None = None) -> None:
         self.fabric = fabric

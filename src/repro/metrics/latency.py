@@ -7,17 +7,11 @@ per-destination means over the ``n`` destination nodes.
 
 from __future__ import annotations
 
-from typing import ClassVar
 
-from repro.checkpoint.state import Snapshottable
-
-
-class RunningAverage(Snapshottable):
+class RunningAverage:
     """Incremental mean per Eq. 4.1 (numerically stable form)."""
 
     __slots__ = ("count", "mean")
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("count", "mean")
 
     def __init__(self) -> None:
         self.count = 0
@@ -44,10 +38,8 @@ class RunningAverage(Snapshottable):
         return avg
 
 
-class GlobalAverageLatency(Snapshottable):
+class GlobalAverageLatency:
     """Eq. 4.2: average over the per-destination-node averages."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("_per_destination",)
 
     def __init__(self) -> None:
         self._per_destination: dict[int, RunningAverage] = {}

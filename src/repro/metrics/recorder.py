@@ -13,27 +13,16 @@ Collects what the evaluation chapter plots:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 from repro.metrics.latency import GlobalAverageLatency
 
 
 @dataclass
-class TimeSeries(Snapshottable):
+class TimeSeries:
     """Windowed averages: ``times[i]`` is the window start, ``values[i]``
     the window's mean."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "window_s",
-        "times",
-        "values",
-        "_sum",
-        "_count",
-        "_window_index",
-    )
 
     window_s: float
     times: list[float] = field(default_factory=list)
@@ -89,23 +78,8 @@ class TimeSeries(Snapshottable):
         return series
 
 
-class StatsRecorder(Snapshottable):
+class StatsRecorder:
     """Fabric-attached collector of the paper's metrics."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "window_s",
-        "track_router_series",
-        "global_latency",
-        "latency_series",
-        "router_series",
-        "packets_delivered",
-        "packets_injected",
-        "packets_dropped",
-        "drops_by_reason",
-        "latencies",
-        "first_delivery_t",
-        "last_delivery_t",
-    )
 
     def __init__(
         self,
@@ -116,8 +90,6 @@ class StatsRecorder(Snapshottable):
         self.track_router_series = track_router_series
         self.global_latency = GlobalAverageLatency()
         self.latency_series = TimeSeries(window_s)
-        # Plain dict (not a defaultdict) so the recorder pickles without
-        # closure-captured factories; see _on_router_wait.
         self.router_series: dict[int, TimeSeries] = {}
         self.packets_delivered = 0
         self.packets_injected = 0

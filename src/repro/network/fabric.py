@@ -18,9 +18,7 @@ then returns a latency-only ACK).
 from __future__ import annotations
 
 import math
-from typing import ClassVar
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.config import NetworkConfig
 from repro.network.nic import ProcessingNode
 from repro.network.packet import (
@@ -60,24 +58,8 @@ class _IdlePort:
 _IDLE = _IdlePort()
 
 
-class Fabric(Snapshottable):
+class Fabric:
     """A complete simulated interconnection network."""
-
-    #: checkpoint coverage (docs/checkpoint.md).  Everything here is
-    #: either plain data, a Snapshottable, or a bound method of one
-    #: (``_schedule_at``/``fault_filter``), so the whole fabric graph
-    #: pickles through the protocol; the tracer is observation-only and
-    #: is dropped on restore.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "topology", "config", "policy", "sim", "recorder", "notification",
-        "_link_delay_s", "_packet_size", "_onoff", "_per_hop",
-        "_schedule_at", "routers", "_vc", "nodes",
-        "data_packets_injected", "data_packets_delivered",
-        "data_bytes_delivered", "acks_delivered", "predictive_acks_delivered",
-        "failed_links", "degraded_links", "dropped_by_reason",
-        "fault_filter", "transport",
-    )
-    _snapshot_exclude_: ClassVar[tuple[str, ...]] = ("tracer",)
 
     def __init__(
         self,
@@ -335,11 +317,7 @@ class Fabric(Snapshottable):
         return True
 
     def _vc_served_host(self, pkt: Packet, depart: float) -> None:
-        """VC service completion for a final-hop packet: deliver it.
-
-        A bound method (not a closure) because queued VC entries carry
-        their completion callback and must survive checkpoint pickling.
-        """
+        """VC service completion for a final-hop packet: deliver it."""
         self.sim.schedule_at(
             depart + self.config.link_delay_s, self._deliver, pkt
         )

@@ -12,45 +12,22 @@ A :class:`ProcessingNode` is the source/sink endpoint attached to a router:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.config import NetworkConfig
 from repro.network.packet import DATA, Packet
 
 
 @dataclass(slots=True)
-class _Reassembly(Snapshottable):
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "received",
-        "expected",
-        "bytes",
-        "first_created_at",
-    )
-
+class _Reassembly:
     received: int = 0
     expected: int = -1  # unknown until the final packet arrives
     bytes: int = 0
     first_created_at: float = float("inf")
 
 
-class ProcessingNode(Snapshottable):
+class ProcessingNode:
     """Host endpoint: injection link + message reassembly."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "host_id",
-        "config",
-        "injection_busy_until",
-        "packets_injected",
-        "bytes_injected",
-        "packets_received",
-        "bytes_received",
-        "message_handler",
-        "_assembly",
-        "_accepted_seqs",
-        "_inj_tx_cache",
-    )
-    _snapshot_exclude_: ClassVar[tuple[str, ...]] = ("tracer",)
 
     def __init__(self, host_id: int, config: NetworkConfig) -> None:
         self.host_id = host_id

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
-
-from repro.checkpoint.state import Snapshottable
+from typing import NamedTuple
 
 DATA = 0
 ACK = 1
@@ -30,23 +28,6 @@ _KIND_NAMES = {DATA: "DATA", ACK: "ACK", PREDICTIVE_ACK: "PACK"}
 _pid_counter = itertools.count()
 
 
-def pid_counter_value() -> int:
-    """Next pid the process-global counter will hand out, read without
-    consuming it (``itertools.count`` exposes it only through ``repr``)."""
-    text = repr(_pid_counter)  # "count(N)"
-    return int(text[text.index("(") + 1 : text.rindex(")")])
-
-
-def set_pid_counter(value: int) -> None:
-    """Re-seed the process-global pid counter (checkpoint restore).
-
-    The ``pid`` default factory reads the module global at call time, so
-    reassigning it here takes effect for every packet created afterwards.
-    """
-    global _pid_counter
-    _pid_counter = itertools.count(int(value))
-
-
 class ContendingFlow(NamedTuple):
     """A source/destination pair observed in a congested output queue."""
 
@@ -55,7 +36,7 @@ class ContendingFlow(NamedTuple):
 
 
 @dataclass(slots=True)
-class Packet(Snapshottable):
+class Packet:
     """A unit of transfer through the fabric.
 
     ``path`` is the full source route (router ids, inclusive); ``hop``
@@ -107,14 +88,6 @@ class Packet(Snapshottable):
     pid: int = field(default_factory=lambda: next(_pid_counter))
     #: lazily cached ``flow()`` result (src/dst never change post-init).
     _flow: ContendingFlow | None = field(default=None, repr=False, compare=False)
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "src", "dst", "size_bytes", "kind", "path", "created_at",
-        "msp_index", "path_latency", "hop", "mpi_type", "mpi_seq", "final",
-        "fragments", "predictive_bit", "contending", "reporting_router",
-        "retx_seq", "retries", "acked_msp_index", "acked_created_at",
-        "acked_retx_seq", "pid", "_flow",
-    )
 
     @property
     def size_bits(self) -> int:

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.config import NetworkConfig
 from repro.network.packet import DATA, ContendingFlow, Packet
 
@@ -34,7 +33,7 @@ CFD_COOLDOWN_S = 20e-6
 
 
 @dataclass(slots=True)
-class OutputPort(Snapshottable):
+class OutputPort:
     """FIFO link server plus the statistics the evaluation plots.
 
     ``queue`` holds ``(depart_time, flow, size_bytes)`` tuples for packets
@@ -67,34 +66,14 @@ class OutputPort(Snapshottable):
     #: CFD quiet-period end.
     cfd_quiet_until: float = 0.0
 
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "router", "target_kind", "target", "busy_until", "queue",
-        "occupancy_bytes", "flow_bytes", "total_wait_s", "packets", "bytes",
-        "overflows", "stalls", "cfd_quiet_until",
-    )
-
     @property
     def mean_wait_s(self) -> float:
         """Average contention latency seen by packets through this port."""
         return self.total_wait_s / self.packets if self.packets else 0.0
 
 
-class Router(Snapshottable):
+class Router:
     """A network node executing the PR-DRB forwarding pipeline."""
-
-    #: checkpoint coverage.  ``_tx_time_s`` is a bound method of the
-    #: config and ``_tx_cache`` the config's own memo dict — pickling
-    #: both through the shared graph preserves the identity sharing.
-    #: ``wait_observer`` is the recorder's bound hook; the tracer is
-    #: observation-only and dropped.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "router_id", "config", "congestion_handler", "ports",
-        "router_ports", "host_ports", "_routing_delay_s", "_threshold_s",
-        "_buffer_size", "_cut_through", "_ct_header_bytes", "_tx_time_s",
-        "_tx_cache", "total_wait_s", "packets_forwarded", "bytes_forwarded",
-        "wait_observer",
-    )
-    _snapshot_exclude_: ClassVar[tuple[str, ...]] = ("tracer",)
 
     def __init__(
         self,

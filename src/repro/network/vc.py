@@ -18,23 +18,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.packet import Packet
 from repro.network.router import OutputPort, Router
 
 
 @dataclass(slots=True)
-class _PortVCState(Snapshottable):
+class _PortVCState:
     """Arbitration state for one output port."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "queues",
-        "rr_next",
-        "link_free_at",
-        "dispatch_scheduled",
-    )
 
     queues: list[deque] = field(default_factory=list)
     rr_next: int = 0
@@ -45,10 +37,8 @@ class _PortVCState(Snapshottable):
         return sum(len(q) for q in self.queues)
 
 
-class VCDispatcher(Snapshottable):
+class VCDispatcher:
     """Round-robin virtual-channel arbiter for every port of a fabric."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("fabric", "num_vcs", "_states")
 
     def __init__(self, fabric) -> None:
         self.fabric = fabric

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.orchestrator import SweepConfig, run_sweep
-from repro.parallel.tasks import canonical_json, expand_grid
+from repro.parallel.tasks import SimTask, canonical_json, expand_grid
 
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 _DEFAULT_CACHE = ".repro_cache"
@@ -38,23 +38,54 @@ def _cache_dir(args) -> str:
     return args.cache_dir or os.environ.get("REPRO_CACHE_DIR", _DEFAULT_CACHE)
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """``"8"`` -> seeds 0..7; ``"0,3,5"`` -> exactly those."""
+def _parse_seeds(text: str) -> int | list[int]:
+    """``"8"`` -> a seed count (seeds 0..7); ``"0,3,5"`` -> exactly those."""
     if "," in text:
         return [int(part) for part in text.split(",") if part.strip()]
-    return list(range(int(text)))
+    return int(text)
 
 
-def _grid_spec(args) -> dict:
-    """The flags as a job spec: the same grid ``POST /jobs`` expands."""
-    return {
-        "kind": args.kind,
-        "policies": args.policies,
-        "seeds": _parse_seeds(args.seeds),
-        "mesh_side": args.mesh_side,
-        "repetitions": args.repetitions,
-        "ack_loss": args.ack_loss,
-    }
+#: job-spec field -> the flag that sets it, to name the flag in errors.
+_FLAGS = {
+    "policies": "--policies",
+    "seeds": "--seeds",
+    "mesh_side": "--mesh-side",
+    "repetitions": "--repetitions",
+    "ack_loss": "--ack-loss",
+}
+
+
+def _grid_tasks(parser: argparse.ArgumentParser, args) -> list[SimTask]:
+    """The flags as a job spec, expanded as ``POST /jobs`` expands it.
+
+    A value no sweep could run is a usage error naming its flag (exit 2).
+    """
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
+    if args.timeout is not None and not args.timeout > 0:
+        parser.error(f"argument --timeout: must be > 0 seconds, got {args.timeout}")
+    if args.retries < 0:
+        parser.error(f"argument --retries: must be >= 0, got {args.retries}")
+    try:
+        seeds = _parse_seeds(args.seeds)
+    except ValueError:
+        parser.error(
+            f"argument --seeds: expected a count or a comma list of integers, "
+            f"got {args.seeds!r}"
+        )
+    try:
+        return expand_grid({
+            "kind": args.kind,
+            "policies": args.policies,
+            "seeds": seeds,
+            "mesh_side": args.mesh_side,
+            "repetitions": args.repetitions,
+            "ack_loss": args.ack_loss,
+        })
+    except ValueError as exc:
+        message = str(exc).removeprefix("params: ")
+        flag = next((f for name, f in _FLAGS.items() if f"'{name}'" in message), None)
+        parser.error(f"argument {flag}: {message}" if flag else message)
 
 
 def _progress_printer(event: dict) -> None:
@@ -82,15 +113,13 @@ def _sweep_config(args, cache_dir: Optional[str]) -> SweepConfig:
         cache_dir=cache_dir,
         profile=getattr(args, "profile", False),
         trace=getattr(args, "trace", False),
-        resume=getattr(args, "resume", False),
     )
 
 
 def _cmd_run(args) -> int:
     cache_dir = None if args.no_cache else _cache_dir(args)
-    tasks = expand_grid(_grid_spec(args))
     report = run_sweep(
-        tasks,
+        args.tasks,
         _sweep_config(args, cache_dir),
         progress=None if args.json else _progress_printer,
     )
@@ -123,7 +152,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tasks = expand_grid(_grid_spec(args))
+    tasks = args.tasks
     parallel_config = _sweep_config(args, None)
     serial = run_sweep(tasks, dataclasses.replace(parallel_config, workers=1))
     parallel = run_sweep(tasks, parallel_config)
@@ -166,7 +195,6 @@ def _cmd_status(args) -> int:
         f"last sweep: {len(manifest.get('outcomes', []))} cells, "
         f"{manifest.get('executed', 0)} executed, "
         f"{manifest.get('cache_hits', 0)} cached, "
-        f"{manifest.get('resumed', 0)} resumed, "
         f"{manifest.get('wall_s', 0.0):.2f}s wall, "
         f"workers={manifest.get('workers')}, "
         f"code_version={manifest.get('code_version')}"
@@ -243,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--trace", action="store_true",
                             help="repro.obs-trace each executed cell into the "
                             "cache dir (<key>.trace.jsonl)")
-    run_parser.add_argument("--resume", action="store_true",
-                            help="crash-safe cells: write periodic checkpoints "
-                            "to the cache dir and resume any left by an "
-                            "interrupted sweep (docs/checkpoint.md)")
     run_parser.add_argument("--json", action="store_true")
 
     verify_parser = sub.add_parser(
@@ -274,7 +298,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "verify"):
+        args.tasks = _grid_tasks(parser, args)
     return _COMMANDS[args.command](args)
 
 

@@ -21,9 +21,8 @@ manifest additionally goes through an advisory-locked read-modify-write
 merge, so two sweeps sharing one ``REPRO_CACHE_DIR`` union their
 outcome ledgers instead of the last writer clobbering the first.
 
-Interrupted cells may leave a ``<key>.ckpt`` checkpoint next to the
-entry (:mod:`repro.parallel.worker`); :meth:`ResultCache.checkpoint_path_for`
-names it and :meth:`ResultCache.purge` removes it.
+:meth:`ResultCache.purge` also removes ``<key>.ckpt`` files, which caches
+written by older versions of this package may still hold.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from repro.util.io import FileLock, atomic_write_text, sha256_hex
 __all__ = ["CacheEntry", "CacheStats", "ResultCache"]
 
 _ENTRY_SUFFIX = ".json"
+#: mid-cell checkpoints written by older versions; purge still removes them.
 _CHECKPOINT_SUFFIX = ".ckpt"
 _MANIFEST_NAME = "manifest.json"
 
@@ -107,10 +107,6 @@ class ResultCache:
 
     def trace_path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.trace.jsonl"
-
-    def checkpoint_path_for(self, key: str) -> Path:
-        """Where an interrupted worker parks the cell's checkpoint."""
-        return self.root / key[:2] / f"{key}{_CHECKPOINT_SUFFIX}"
 
     @property
     def manifest_path(self) -> Path:

@@ -65,11 +65,6 @@ class SweepConfig:
     #: repro.obs-trace each executed cell into the cache directory
     #: (``<key>.trace.jsonl`` next to the entry); needs ``cache_dir``.
     trace: bool = False
-    #: crash-safe cells (docs/checkpoint.md): replay/fault cells write
-    #: periodic checkpoints to ``<key>.ckpt`` in the cache directory and
-    #: resume from any valid checkpoint left by an interrupted sweep.
-    #: Needs ``cache_dir``; profiling/tracing cells stay one-shot.
-    resume: bool = False
     #: pin the code-version token (None = content hash of the package).
     code_version: Optional[str] = None
 
@@ -85,7 +80,7 @@ class FailureRecord:
     kind: str
     label: str
     attempt: int
-    reason: str  # "error" | "worker-crash" | "timeout" | "checkpointed"
+    reason: str  # "error" | "worker-crash" | "timeout"
     error: str
     final: bool
 
@@ -137,8 +132,6 @@ class SweepReport:
     cache_hits: int
     workers: int
     code_version: str
-    #: cells that picked up a checkpoint left by an interrupted run.
-    resumed: int = 0
 
     @property
     def results(self) -> list[Optional[dict]]:
@@ -163,7 +156,6 @@ class SweepReport:
             "cache_hits": self.cache_hits,
             "workers": self.workers,
             "code_version": self.code_version,
-            "resumed": self.resumed,
             "all_ok": self.all_ok,
         }
 
@@ -271,27 +263,6 @@ def run_sweep(
         path.parent.mkdir(parents=True, exist_ok=True)
         return str(path)
 
-    resumed_keys: set[str] = set()
-
-    def checkpoint_path(cell: _Cell) -> Optional[str]:
-        if not config.resume or cache is None:
-            return None
-        path = cache.checkpoint_path_for(cell.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            # An interrupted sweep parked progress here; the worker will
-            # splice onto it instead of starting over.
-            resumed_keys.add(cell.key)
-        return str(path)
-
-    def has_checkpoint(cell: _Cell) -> bool:
-        """True when a crashed/killed cell left progress worth resuming."""
-        return (
-            config.resume
-            and cache is not None
-            and cache.checkpoint_path_for(cell.key).exists()
-        )
-
     def record_success(cell: _Cell, result: dict, wall_s: float) -> None:
         if cache is not None:
             cache.put(cell.key, cell.task, version, result)
@@ -330,14 +301,14 @@ def run_sweep(
 
     if config.workers <= 1:
         _run_inline(
-            pending, config, profile_path, trace_path, checkpoint_path,
+            pending, config, profile_path, trace_path,
             record_success, record_failure,
             metrics_hook=metrics_hook, metrics_cadence_s=metrics_cadence_s,
         )
     else:
         _run_pooled(
-            pending, config, profile_path, trace_path, checkpoint_path,
-            record_success, record_failure, has_checkpoint,
+            pending, config, profile_path, trace_path,
+            record_success, record_failure,
         )
 
     wall_s = time.monotonic() - start  # repro: allow(no-wall-clock)
@@ -350,7 +321,6 @@ def run_sweep(
         cache_hits=sum(1 for o in outcomes.values() if o.status == "cached"),
         workers=config.workers,
         code_version=version,
-        resumed=len(resumed_keys),
     )
     if cache is not None:
         manifest = report.to_dict()
@@ -364,7 +334,7 @@ def run_sweep(
 
 
 def _run_inline(
-    pending, config, profile_path, trace_path, checkpoint_path,
+    pending, config, profile_path, trace_path,
     record_success, record_failure,
     metrics_hook=None, metrics_cadence_s=None,
 ) -> None:
@@ -390,7 +360,6 @@ def _run_inline(
                 cell.task,
                 profile_path=profile_path(cell),
                 trace_path=trace_path(cell),
-                checkpoint_path=checkpoint_path(cell),
                 metrics_hook=cell_hook(cell),
                 metrics_cadence_s=metrics_cadence_s,
             )
@@ -403,8 +372,8 @@ def _run_inline(
 
 
 def _run_pooled(
-    pending, config, profile_path, trace_path, checkpoint_path,
-    record_success, record_failure, has_checkpoint,
+    pending, config, profile_path, trace_path,
+    record_success, record_failure,
 ) -> None:
     """Process-pool backend with timeout / crash supervision."""
     import multiprocessing
@@ -429,7 +398,6 @@ def _run_pooled(
                     future = pool.submit(
                         pool_worker, cell.task.to_dict(),
                         profile_path(cell), trace_path(cell),
-                        checkpoint_path(cell),
                     )
                     in_flight[future] = cell
                 else:
@@ -451,17 +419,7 @@ def _run_pooled(
                     result = future.result()
                 except BrokenProcessPool:
                     broken = True
-                    # A SIGTERM'd resumable worker parks a final snapshot
-                    # before exiting; a checkpoint on disk turns the crash
-                    # into a "checkpointed" disposition — the retry splices
-                    # onto the saved progress instead of starting over.
-                    if has_checkpoint(cell):
-                        reason = "checkpointed"
-                        detail = "worker exited leaving a resumable checkpoint"
-                    else:
-                        reason = "worker-crash"
-                        detail = "worker process died"
-                    if record_failure(cell, reason, detail):
+                    if record_failure(cell, "worker-crash", "worker process died"):
                         cell.not_before = 0.0
                         queue.append(cell)
                 except Exception as exc:  # noqa: BLE001 - ledgered
@@ -501,16 +459,8 @@ def _run_pooled(
                 for cell in survivors:
                     # Collateral of the recycle (crash or timeout kill):
                     # their attempt is charged (we cannot prove innocence
-                    # after a crash), but they requeue immediately.  A
-                    # periodic checkpoint, if one landed, downgrades the
-                    # restart to a resume.
-                    if has_checkpoint(cell):
-                        reason = "checkpointed"
-                        detail = "pool recycled mid-task; checkpoint on disk"
-                    else:
-                        reason = "worker-crash"
-                        detail = "pool recycled mid-task"
-                    if record_failure(cell, reason, detail):
+                    # after a crash), but they requeue immediately.
+                    if record_failure(cell, "worker-crash", "pool recycled mid-task"):
                         cell.not_before = 0.0
                         queue.append(cell)
     finally:
@@ -550,12 +500,16 @@ def default_executor() -> Optional[SweepExecutor]:
     for every integrated surface (experiment scenarios, fault campaigns,
     benchmarks); ``REPRO_CACHE_DIR`` adds the on-disk result cache.  The
     worker count is clamped to ``os.cpu_count()``: oversubscribing a small
-    box only adds scheduler churn to CPU-bound simulation cells.
+    box only adds scheduler churn to CPU-bound simulation cells.  A value
+    that is not an integer raises ``ValueError`` naming the variable.
     """
+    raw = os.environ.get("REPRO_PARALLEL_WORKERS", "0")
     try:
-        workers = int(os.environ.get("REPRO_PARALLEL_WORKERS", "0"))
+        workers = int(raw)
     except ValueError:
-        return None
+        raise ValueError(
+            f"REPRO_PARALLEL_WORKERS must be an integer, got {raw!r}"
+        ) from None
     if workers < 2:
         return None
     cpu_count = os.cpu_count()

@@ -153,10 +153,7 @@ def task_key(task: SimTask, version: Optional[str] = None) -> str:
 _DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
 #: task kinds whose params :func:`repro.analysis.replay.scenario_spec`
-#: parses into a :class:`~repro.analysis.replay.ScenarioSpec`.  Parsing
-#: into a spec does not make a kind resumable: a ``hotspot`` or
-#: ``pattern`` cell returns a ``PolicyRun``, and only ``replay`` and
-#: ``fault`` cells checkpoint (:data:`repro.parallel.worker.RESUMABLE_KINDS`).
+#: parses into a :class:`~repro.analysis.replay.ScenarioSpec`.
 SCENARIO_KINDS = ("replay", "fault", "hotspot", "pattern")
 
 #: task kinds a job spec may reference: every scenario kind

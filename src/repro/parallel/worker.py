@@ -27,62 +27,20 @@ Task kinds
 ``selftest``
     Orchestrator test double: succeeds, raises, crashes the worker
     process, or spins — used by the supervision tests and CI only.
-
-Crash-safe execution (docs/checkpoint.md)
------------------------------------------
-When the orchestrator hands a cell a ``checkpoint_path``, the ``replay``
-and ``fault`` kinds run through :mod:`repro.checkpoint` instead of the
-one-shot runners: a checkpoint is written every
-``REPRO_CHECKPOINT_EVERY`` executed events (SIGKILL recovery), SIGTERM
-triggers a final snapshot at the next event boundary followed by
-``os._exit(CHECKPOINTED_EXIT)``, and a valid checkpoint already on disk
-is resumed instead of starting over.  Determinism makes the spliced run
-bit-identical to an uninterrupted one, so cached results never fork.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Callable, Optional
 
 from repro.parallel.tasks import SimTask, json_safe
 
 __all__ = [
-    "CHECKPOINTED_EXIT",
-    "RESUMABLE_KINDS",
     "TASK_KINDS",
     "execute_task",
     "pool_worker",
 ]
-
-#: exit status of a worker that parked a final checkpoint on SIGTERM
-#: (BSD ``EX_TEMPFAIL``: try again — here, resume from the checkpoint).
-CHECKPOINTED_EXIT = 75
-
-#: task kinds the checkpoint runner can build and resume.
-RESUMABLE_KINDS = ("replay", "fault")
-
-#: one snapshot of a sweep-sized cell costs ~25 ms against ~120k
-#: simulated events/s, so a 200k cadence keeps the measured throughput
-#: cost near 2% — under the 5% budget bench_checkpoint.py asserts.
-_DEFAULT_CHECKPOINT_EVERY = 200_000
-
-
-def _checkpoint_every() -> int:
-    """Events between periodic checkpoints (``REPRO_CHECKPOINT_EVERY``).
-
-    The default keeps the cadence overhead well under the 5 % budget
-    asserted by ``benchmarks/bench_checkpoint.py``; tests and the CI
-    kill-and-resume smoke shrink it to force mid-run snapshots.
-    """
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_CHECKPOINT_EVERY
-    return max(1, value) if value else _DEFAULT_CHECKPOINT_EVERY
-
 
 # ----------------------------------------------------------------------
 # Kind implementations
@@ -91,7 +49,7 @@ def _run_spec(kind: str, params: dict, tracer, metrics, metrics_cadence_s) -> di
     from repro.analysis.replay import build, scenario_spec, task_result
 
     spec = scenario_spec(kind, params)
-    if kind not in RESUMABLE_KINDS:  # hotspot / pattern: a PolicyRun
+    if kind in ("hotspot", "pattern"):  # a PolicyRun
         from repro.experiments.runner import run_cell
 
         return run_cell(spec, tracer, metrics, metrics_cadence_s).to_dict()
@@ -157,88 +115,12 @@ TASK_KINDS: dict[str, Callable[[dict], dict]] = {
 
 
 # ----------------------------------------------------------------------
-# Crash-safe execution
-# ----------------------------------------------------------------------
-_HANDLER_UNSET = object()
-
-
-def _run_resumable(task: SimTask, checkpoint_path: str) -> dict:
-    """Run a resumable cell with periodic checkpoints and SIGTERM hand-off.
-
-    The SIGTERM handler only sets a flag — a snapshot taken *inside* a
-    signal handler could land mid-event and capture a torn state.  The
-    engine's cadence hook (which always runs at an event boundary) writes
-    the snapshot and, when the flag is up, exits with
-    :data:`CHECKPOINTED_EXIT` so the orchestrator can ledger the cell as
-    ``checkpointed`` rather than crashed.
-    """
-    import signal
-
-    from repro.checkpoint import (
-        build_context,
-        finish_context,
-        load_scenario_checkpoint,
-        save_scenario_checkpoint,
-    )
-
-    path = Path(checkpoint_path)
-    context = None
-    if path.exists():
-        try:
-            _, context = load_scenario_checkpoint(path)
-        except Exception:  # noqa: BLE001 - corrupt/stale/foreign checkpoint
-            # Any unreadable checkpoint is discarded and the cell simply
-            # recomputes from scratch — determinism makes that safe.
-            context = None
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    if context is None:
-        context = build_context(task.kind, task.params)
-
-    interrupted = {"seen": False}
-
-    def _on_sigterm(signum, frame):
-        interrupted["seen"] = True
-
-    meta = {"task": task.to_dict(), "label": task.display()}
-
-    def _cadence_hook() -> None:
-        save_scenario_checkpoint(context, path, meta=meta)
-        if interrupted["seen"]:
-            # The snapshot just written is the final word for this
-            # process; exit hard so no further events run here.
-            os._exit(CHECKPOINTED_EXIT)
-
-    restore = _HANDLER_UNSET
-    try:
-        restore = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:  # pragma: no cover - not the main thread
-        pass
-    context.sim.set_checkpoint_cadence(_checkpoint_every(), _cadence_hook)
-    try:
-        context.sim.run(until=context.until)
-        result = json_safe(finish_context(context))
-    finally:
-        context.sim.set_checkpoint_cadence(None)
-        if restore is not _HANDLER_UNSET and restore is not None:
-            signal.signal(signal.SIGTERM, restore)
-    try:
-        path.unlink()  # cell completed: the checkpoint is now stale
-    except OSError:
-        pass
-    return result
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def execute_task(
     task: SimTask,
     profile_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    checkpoint_path: Optional[str] = None,
     metrics_hook: Optional[Callable[[dict], None]] = None,
     metrics_cadence_s: Optional[float] = None,
 ) -> dict:
@@ -253,25 +135,12 @@ def execute_task(
     the live-telemetry egress ``repro.serve`` streams over SSE.  The
     registry rides the simulator observer list, so the cell's digests
     stay bit-identical with or without it.  Hooks are callables, so they
-    only exist on the inline backend (the pool cannot pickle them).
-
-    ``checkpoint_path`` opts a :data:`RESUMABLE_KINDS` cell into
-    crash-safe execution (see the module docstring).  Profiling, tracing
-    and metrics hooks take precedence when combined: their sinks hold
-    live handles no snapshot could carry, so such cells run one-shot."""
+    only exist on the inline backend (the pool cannot pickle them)."""
     runner = TASK_KINDS.get(task.kind)
     if runner is None:
         raise ValueError(
             f"unknown task kind {task.kind!r}; registered: {sorted(TASK_KINDS)}"
         )
-    if (
-        checkpoint_path is not None
-        and task.kind in RESUMABLE_KINDS
-        and profile_path is None
-        and trace_path is None
-        and metrics_hook is None
-    ):
-        return _run_resumable(task, checkpoint_path)
     tracer = None
     if trace_path is not None:
         from repro.obs import JsonlSink, Tracer
@@ -304,12 +173,10 @@ def pool_worker(
     task_dict: dict,
     profile_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    checkpoint_path: Optional[str] = None,
 ) -> dict:
     """Top-level (picklable) adapter used by the process pool."""
     return execute_task(
         SimTask.from_dict(task_dict),
         profile_path=profile_path,
         trace_path=trace_path,
-        checkpoint_path=checkpoint_path,
     )

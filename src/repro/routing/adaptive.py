@@ -9,8 +9,6 @@ fair state-aware non-learning comparator for DRB.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 from repro.routing.base import RoutingPolicy
 from repro.topology.base import Path
 
@@ -38,8 +36,6 @@ class SourceAdaptivePolicy(RoutingPolicy):
 
     name = "adaptive"
     wants_acks = False
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("max_paths", "_candidates")
 
     def __init__(self, max_paths: int = 4) -> None:
         super().__init__()

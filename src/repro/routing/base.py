@@ -11,9 +11,8 @@ routers only execute HDP forwarding.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.packet import Packet
 from repro.topology.base import Path
 
@@ -21,16 +20,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import Fabric
 
 
-class RoutingPolicy(Snapshottable):
+class RoutingPolicy:
     """Base class; subclasses override path selection and learning hooks."""
 
     #: machine name used in reports.
     name: str = "abstract"
     #: whether destinations should return ACK packets to sources.
     wants_acks: bool = False
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("fabric",)
-    _snapshot_exclude_: ClassVar[tuple[str, ...]] = ("tracer",)
 
     def __init__(self) -> None:
         self.fabric: Optional["Fabric"] = None

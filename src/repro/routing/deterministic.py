@@ -6,8 +6,6 @@ on meshes/tori, destination-digit up/down on k-ary n-trees.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 from repro.routing.base import RoutingPolicy
 from repro.topology.base import Path
 
@@ -27,8 +25,6 @@ class DeterministicPolicy(RoutingPolicy):
 
     name = "deterministic"
     wants_acks = False
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("_cache",)
 
     def __init__(self) -> None:
         super().__init__()

@@ -12,11 +12,9 @@ open MSP with Eq. 3.6's inverse-latency PDF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 from repro.core.contending import make_signature
 from repro.core.metapath import Metapath
 from repro.core.selection import select_msp
@@ -58,25 +56,8 @@ class DRBConfig:
     seed: int = 0
 
 
-class FlowState(Snapshottable):
+class FlowState:
     """Per (source, destination) routing state at the source node."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "src",
-        "dst",
-        "metapath",
-        "thresholds",
-        "zone",
-        "last_reconfig",
-        "recent_flows",
-        "learning_signature",
-        "outstanding",
-        "last_ack_time",
-        "last_send_time",
-        "pending_high_entry",
-        "offered_bps",
-        "high_entry_time",
-    )
 
     __slots__ = (
         "src",
@@ -124,15 +105,6 @@ class DRBPolicy(RoutingPolicy):
 
     name = "drb"
     wants_acks = True
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "config",
-        "_rng",
-        "flows",
-        "expansions",
-        "shrinks",
-        "paths_pruned",
-    )
 
     def __init__(
         self,

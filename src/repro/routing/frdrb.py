@@ -11,7 +11,6 @@ sit on top of any DRB descendant, so this class exposes both the plain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 from repro.core.thresholds import Zone
 from repro.network.packet import DATA
@@ -30,15 +29,6 @@ class FRDRBConfig(PRDRBConfig):
 
 class FRDRBPolicy(PRDRBPolicy):
     """DRB with watchdog-triggered opening; optionally predictive."""
-
-    #: ``name`` is per-instance here (fr-drb vs pr-fr-drb), so it must
-    #: ride the snapshot unlike the class-level names of the other policies.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "predictive",
-        "name",
-        "watchdog_fires",
-        "nack_reactions",
-    )
 
     def __init__(
         self,

@@ -18,11 +18,9 @@ minimal path and the rest stand in for Valiant detours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 from repro.core.thresholds import Zone
 from repro.network.packet import ContendingFlow, Packet
 from repro.routing.base import RoutingPolicy
@@ -46,14 +44,8 @@ class NotifiedConfig:
     seed: int = 0
 
 
-class PairZoneState(Snapshottable):
+class PairZoneState:
     """Escalation state of one (source zone, destination zone) pair."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "escalated",
-        "last_notify",
-        "notifications",
-    )
 
     __slots__ = ("escalated", "last_notify", "notifications")
 
@@ -70,18 +62,6 @@ class NotifiedAdaptivePolicy(RoutingPolicy):
     #: router-based notification only fires for ACK-consuming policies
     #: (``Fabric._router_congestion`` gates on this).
     wants_acks = True
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "config",
-        "_rng",
-        "pairs",
-        "_candidates",
-        "escalations",
-        "reversions",
-        "notifications",
-        "minimal_routed",
-        "valiant_routed",
-    )
 
     def __init__(
         self,

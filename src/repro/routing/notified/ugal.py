@@ -12,7 +12,6 @@ paths, different congestion signal).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +35,6 @@ class UGALPolicy(RoutingPolicy):
 
     name = "ugal"
     wants_acks = False
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "config",
-        "_rng",
-        "_candidates",
-        "minimal_routed",
-        "valiant_routed",
-    )
 
     def __init__(
         self,

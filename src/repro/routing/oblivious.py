@@ -7,8 +7,6 @@ through them round-robin.  Neither consults network state.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 import numpy as np
 
 from repro.routing.base import RoutingPolicy
@@ -20,12 +18,6 @@ class _MultipathOblivious(RoutingPolicy):
     """Shared machinery: a fixed candidate path set per pair."""
 
     wants_acks = False
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "max_paths",
-        "_rng",
-        "_candidates",
-    )
 
     def __init__(
         self,
@@ -62,8 +54,6 @@ class CyclicPolicy(_MultipathOblivious):
     """Round-robin rotation among alternative paths per injection."""
 
     name = "cyclic"
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("_next",)
 
     def __init__(
         self,

@@ -16,7 +16,6 @@ PR-DRB layers the predictive procedures (§3.2.6) on DRB:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 from repro.core.solutions import SolutionDatabase
 from repro.core.thresholds import Zone
@@ -45,16 +44,6 @@ class PRDRBPolicy(DRBPolicy):
     """DRB + congestion-pattern learning and solution reuse."""
 
     name = "pr-drb"
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "databases",
-        "trends",
-        "solutions_applied",
-        "solutions_saved",
-        "trend_triggers",
-        "solutions_invalidated",
-        "solutions_missed",
-    )
 
     def __init__(
         self,

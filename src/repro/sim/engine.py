@@ -27,8 +27,7 @@ Observation: any number of observers may watch event dispatch through
 invariant checker, and the :mod:`repro.obs` metrics cadence all ride this).
 Observers are called with each event just before its callback runs and must
 never mutate simulation state; with none installed the cost is a single
-``is not None`` branch per event.  The legacy single-callable
-:attr:`Simulator.event_hook` survives as a property over the observer list.
+``is not None`` branch per event.
 
 Every optimization here is digest-gated: ``python -m repro.perf`` replays a
 seeded scenario suite and fails on any drift in the event-trace or metrics
@@ -39,11 +38,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, ClassVar, Optional
+from typing import Any, Callable, Optional
 
-from repro.checkpoint.state import Snapshottable
-
-#: Signature of :attr:`Simulator.event_hook` observers.
+#: Signature of :meth:`Simulator.add_observer` observers.
 EventHook = Callable[["Event"], None]
 
 #: Field offsets inside an :class:`Event` heap entry.
@@ -138,7 +135,7 @@ class Event(list):
         )
 
 
-class Simulator(Snapshottable):
+class Simulator:
     """Event calendar and clock.
 
     Parameters
@@ -146,18 +143,6 @@ class Simulator(Snapshottable):
     start_time:
         Initial value of the simulation clock, in seconds.
     """
-
-    #: checkpoint coverage (docs/checkpoint.md): the calendar, freelist
-    #: and sequence counter travel whole so restored heap order, event
-    #: identity (cancel handles!) and FIFO tie-breaks are bit-identical.
-    #: The observer tuple/dispatch ride along — digest observers are
-    #: themselves Snapshottable.  The checkpoint cadence hook is run-local
-    #: wiring and is re-armed by whoever resumes the run.
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "now", "_queue", "_free", "_sequence", "_events_executed",
-        "_running", "_stopped", "_observers", "_dispatch",
-    )
-    _snapshot_exclude_: ClassVar[tuple[str, ...]] = ("_ck_every", "_ck_hook")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now: float = start_time
@@ -178,20 +163,6 @@ class Simulator(Snapshottable):
         # :meth:`_dispatch_all`.
         self._observers: tuple[EventHook, ...] = ()
         self._dispatch: Optional[EventHook] = None
-        # Checkpoint cadence (docs/checkpoint.md): every ``_ck_every``
-        # executed events, :meth:`run` calls ``_ck_hook()`` at an event
-        # boundary.  Deliberately *not* a scheduled event — a calendar
-        # entry would consume sequence numbers and perturb the event
-        # digests; the boundary hook is invisible to them.
-        self._ck_every: Optional[int] = None
-        self._ck_hook: Optional[Callable[[], None]] = None
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        # A snapshot taken from inside the cadence hook sees the dispatch
-        # loop live; the restored process starts outside any run() call.
-        state["_running"] = False
-        return state
 
     # ------------------------------------------------------------------
     # Observation
@@ -243,33 +214,6 @@ class Simulator(Snapshottable):
         # affect the next event, not this dispatch.
         for fn in self._observers:
             fn(event)
-
-    @property
-    def event_hook(self) -> Optional[EventHook]:
-        """Single-callable view of the observer list (legacy API).
-
-        Returns None with no observers, the observer itself with exactly
-        one, and a snapshot composite (calling every current observer in
-        order) with several — so pre-observer code that saves the prior
-        hook and chains to it keeps working unchanged.
-        """
-        observers = self._observers
-        if not observers:
-            return None
-        if len(observers) == 1:
-            return observers[0]
-
-        def chained(event: "Event", _observers=observers) -> None:
-            for fn in _observers:
-                fn(event)
-
-        return chained
-
-    @event_hook.setter
-    def event_hook(self, fn: Optional[EventHook]) -> None:
-        """Replace *all* observers with ``fn`` (legacy single-hook setter)."""
-        self._observers = () if fn is None else (fn,)
-        self._rebuild_dispatch()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -342,34 +286,6 @@ class Simulator(Snapshottable):
         self._free.append(event)
 
     # ------------------------------------------------------------------
-    # Checkpoint cadence
-    # ------------------------------------------------------------------
-    def set_checkpoint_cadence(
-        self,
-        every_events: Optional[int],
-        hook: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Install ``hook`` to run every ``every_events`` executed events.
-
-        The hook fires between event callbacks (never mid-event), with
-        :attr:`events_executed` already flushed, so it sees a globally
-        consistent state to snapshot.  It may call :meth:`stop` to end the
-        run after writing a final checkpoint (the SIGTERM path).  Pass
-        ``None`` to disarm.  :meth:`run` reads the cadence on entry;
-        changing it from inside a callback takes effect on the next run.
-        """
-        if every_events is None or hook is None:
-            self._ck_every = None
-            self._ck_hook = None
-            return
-        if every_events < 1:
-            raise SimulationError(
-                f"checkpoint cadence must be >= 1 event, got {every_events!r}"
-            )
-        self._ck_every = int(every_events)
-        self._ck_hook = hook
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -393,14 +309,6 @@ class Simulator(Snapshottable):
         # the ``self.now = until`` assignment under it then never runs.
         bound = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
-        # Checkpoint cadence: with none armed, ``ck_next`` is infinite and
-        # the per-event cost is a single float compare.  ``flushed`` tracks
-        # how much of ``executed`` has already been folded into
-        # ``_events_executed`` so the hook observes an exact total.
-        ck_hook = self._ck_hook
-        ck_every = self._ck_every
-        ck_next: float = math.inf if (ck_hook is None or ck_every is None) else ck_every
-        flushed = 0
         try:
             while queue:
                 if self._stopped or executed >= limit:
@@ -416,9 +324,8 @@ class Simulator(Snapshottable):
                     free.append(event)
                     continue
                 self.now = event[_TIME]
-                # Plain-attribute read (not the event_hook property): this
-                # is the per-event fast path and must stay one branch when
-                # nothing is observing.
+                # The per-event fast path: one branch when nothing is
+                # observing.
                 hook = self._dispatch
                 if hook is not None:
                     hook(event)
@@ -431,20 +338,14 @@ class Simulator(Snapshottable):
                 event[_FN] = _never
                 event[_ARGS] = ()
                 free.append(event)
-                if executed >= ck_next:
-                    ck_next = executed + ck_every  # type: ignore[operator]
-                    self._events_executed += executed - flushed
-                    flushed = executed
-                    ck_hook()  # type: ignore[misc]
             else:
                 if until is not None and self.now < until:
                     self.now = until
         finally:
             self._running = False
-            # Flushed once instead of per event (minus what the cadence
-            # hook already folded in); every reader of ``events_executed``
-            # observes the total after run() returns.
-            self._events_executed += executed - flushed
+            # Flushed once instead of per event; every reader of
+            # ``events_executed`` observes the total after run() returns.
+            self._events_executed += executed
         return executed
 
     def step(self) -> bool:

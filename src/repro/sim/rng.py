@@ -9,20 +9,11 @@ one component is reconfigured.
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 
-
-class RandomStreams(Snapshottable):
+class RandomStreams:
     """A family of named, independent random generators from one root seed."""
-
-    #: ``numpy.random.Generator`` pickles its full bit-generator state
-    #: losslessly, so checkpointing the stream dict resumes every named
-    #: stream mid-sequence, bit-exactly (docs/checkpoint.md).
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("seed", "_streams")
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)

@@ -78,8 +78,7 @@ def make_topology(spec: str) -> Topology:
     instance is published only once its cache is installed, so a thread
     never sees a half-built one; two racing threads may build a spec
     twice, and both then get the first one published.  The table keeps
-    the :data:`_INTERN_CAP` most recently used specs.  A pickled
-    topology drops its memos and restores as a private instance.
+    the :data:`_INTERN_CAP` most recently used specs.
     """
     name, _, arg_text = spec.partition(":")
     family = name.strip()

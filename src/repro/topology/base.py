@@ -202,36 +202,6 @@ class Topology(ABC):
 
         self.__dict__["alternative_paths"] = alternative_paths_memo
 
-    #: instance-dict entries installed by :meth:`enable_route_cache`.
-    _ROUTE_MEMO_NAMES = (
-        "host_router",
-        "router_neighbors",
-        "minimal_route",
-        "distance",
-        "minimal_next_hops",
-        "alternative_paths",
-    )
-
-    def __getstate__(self):
-        """Pickle without the memo closures (they are unpicklable).
-
-        The memoized queries are pure functions of the immutable topology,
-        so dropping the warm cache and rebuilding it on restore cannot
-        change any routing answer — checkpoints stay behaviour-identical.
-        """
-        state = dict(self.__dict__)
-        if state.pop("_route_cache_enabled", None):
-            for name in self._ROUTE_MEMO_NAMES:
-                state.pop(name, None)
-            state["_route_cache_was_enabled"] = True
-        return state
-
-    def __setstate__(self, state) -> None:
-        rebuild = state.pop("_route_cache_was_enabled", False)
-        self.__dict__.update(state)
-        if rebuild:
-            self.enable_route_cache()
-
     # ------------------------------------------------------------------
     # Validation helpers (used by tests and the fabric)
     # ------------------------------------------------------------------

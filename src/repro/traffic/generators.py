@@ -11,34 +11,18 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.checkpoint.state import Snapshottable
 from repro.network.fabric import Fabric
 from repro.sim.rng import seeded_generator
 from repro.traffic.bursty import BurstSchedule
 from repro.traffic.patterns import TrafficPattern
 
 
-class SyntheticTrafficSource(Snapshottable):
+class SyntheticTrafficSource:
     """Injects pattern traffic from ``hosts`` at ``rate_bps`` per node."""
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "fabric",
-        "pattern",
-        "hosts",
-        "rate_bps",
-        "schedule",
-        "stop_s",
-        "rng",
-        "message_bytes",
-        "interval_s",
-        "idle_rate_bps",
-        "idle_interval_s",
-        "messages_sent",
-    )
 
     def __init__(
         self,
@@ -121,29 +105,13 @@ class HotSpotFlow:
     dst: int
 
 
-class HotSpotWorkload(Snapshottable):
+class HotSpotWorkload:
     """§4.5 specific pattern: colliding flows + uniform background noise.
 
     ``flows`` are chosen so their deterministic minimal paths share
     trajectory segments (the congestion area); all other ``noise_hosts``
     inject uniform traffic at a lower rate.
     """
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "fabric",
-        "flows",
-        "idle_rate_bps",
-        "idle_interval_s",
-        "rate_bps",
-        "schedule",
-        "stop_s",
-        "noise_hosts",
-        "noise_rate_bps",
-        "rng",
-        "message_bytes",
-        "interval_s",
-        "messages_sent",
-    )
 
     def __init__(
         self,

@@ -8,7 +8,7 @@ Three concerns, one module:
   old content or the complete new content — never a torn write.  A
   process killed mid-write leaves at most a stale ``*.tmp`` file.
 * **Checksums** — :func:`sha256_hex` over bytes/str, used by the result
-  cache's payload checksums and the checkpoint envelope.
+  cache's payload checksums.
 * **Advisory locking** — :class:`FileLock`, a blocking ``fcntl.flock``
   wrapper guarding read-modify-write cycles on shared files (two sweep
   orchestrators sharing one ``REPRO_CACHE_DIR`` race on the manifest

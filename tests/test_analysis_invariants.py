@@ -118,8 +118,9 @@ def test_clock_regression_detected():
     stale = sim.schedule_at(sim.now, lambda: None)
     stale.time = 0.5
     sim.now = 0.5
+    (observer,) = sim.observers  # the checker's per-event check
     with pytest.raises(InvariantViolation, match="backwards"):
-        sim.event_hook(stale)
+        observer(stale)
 
 
 def test_illegal_shrink_outside_low_zone_detected():
@@ -155,8 +156,8 @@ def test_uninstall_restores_prior_hook():
     def prior(event):
         pass
 
-    sim.event_hook = prior
+    sim.add_observer(prior)
     checker = DebugInvariants(fabric).install()
-    assert sim.event_hook is not prior
+    assert sim.observers == (prior, checker._on_event)
     checker.uninstall()
-    assert sim.event_hook is prior
+    assert sim.observers == (prior,)

@@ -103,6 +103,32 @@ def test_cli_smoke_passes_gates(capsys):
     assert "pr-drb" in out
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--repetitions", "0"], "repetitions"),
+    (["--ack-loss", "-1"], "ack_loss"),
+    (["--ack-loss", "2"], "ack_loss"),
+    (["--mesh-side", "1"], "mesh_side"),
+    (["--seed", "-5"], "seed"),
+])
+def test_cli_refuses_bad_values_naming_the_field(argv, field, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        faults_cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"ack_loss": 1.5}, "ack_loss"),
+    ({"ack_loss": float("nan")}, "ack_loss"),
+    ({"stochastic": True, "mtbf_s": 0.0}, "mtbf_s"),
+    ({"stochastic": True, "mttr_s": -1e-4}, "mttr_s"),
+    ({"seed": -1}, "seed"),
+])
+def test_spec_refuses_values_no_run_could_use(kwargs, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        FaultCampaignSpec(**kwargs)
+
+
 def test_stochastic_campaign_is_deterministic():
     spec = FaultCampaignSpec(stochastic=True, repetitions=2)
     a = run_fault_scenario("drb", spec)

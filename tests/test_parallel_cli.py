@@ -89,6 +89,27 @@ class TestStatusAndCache:
         assert "0 entries" in capsys.readouterr().out
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("argv, flag", [
+        (("--seeds", "abc"), "--seeds"),
+        (("--seeds", "0"), "--seeds"),
+        (("--mesh-side", "1"), "--mesh-side"),
+        (("--workers", "-1"), "--workers"),
+        (("--timeout", "-1"), "--timeout"),
+        (("--retries", "-1"), "--retries"),
+        (("--kind", "fault", "--ack-loss", "2"), "--ack-loss"),
+    ])
+    def test_bad_value_is_a_usage_error_naming_the_flag(
+        self, command, argv, flag, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)  # a sweep that ran anyway caches here
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 class TestVerify:
     def test_verify_serial_vs_parallel(self, capsys):

@@ -189,11 +189,12 @@ class TestDefaultExecutor:
         monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
         assert default_executor() is None
 
-    def test_bad_value_disables(self, monkeypatch):
+    def test_bad_value_raises_naming_the_variable(self, monkeypatch):
         from repro.parallel import default_executor
 
         monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "lots")
-        assert default_executor() is None
+        with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS.*'lots'"):
+            default_executor()
 
     def test_workers_clamped_to_cpu_count(self, monkeypatch):
         import os

@@ -1,7 +1,5 @@
 """Tests for the notification-driven adaptive family (ARN + UGAL)."""
 
-import pickle
-
 import pytest
 
 from repro.network.config import NetworkConfig
@@ -136,17 +134,6 @@ def test_notified_stats_shape():
         "minimal_routed", "valiant_routed",
     }
     assert policy.stats()["policy"] == "notified-adaptive"
-
-
-def test_notified_snapshot_roundtrip_preserves_escalation():
-    policy, _ = make_notified(config=NotifiedConfig(hold_s=1e-4))
-    notify(policy, src=0, dst=8, now=0.0)
-    clone = pickle.loads(pickle.dumps(policy))
-    _, idx = clone.select_path(0, 8, 1024, 5e-5)
-    assert idx > 0  # escalation survived the snapshot
-    _, idx = clone.select_path(0, 8, 1024, 3e-4)
-    assert idx == 0  # and so did the decay clock
-    assert clone.stats()["notifications"] == policy.stats()["notifications"]
 
 
 # ----------------------------------------------------------------------

@@ -68,8 +68,10 @@ def _wait_terminal(base, job_id, max_s=30.0):
     raise AssertionError(f"job {job_id} never reached a terminal state")
 
 
-def _read_sse(base, path, max_s=30.0):
-    frames = []
+def _read_sse(base, path, max_s=30.0, frames=None, opened=None, until=None):
+    """``(type, payload)`` frames until the server ends the stream or
+    ``until(type, payload)`` holds; sets ``opened`` at the first frame."""
+    frames = [] if frames is None else frames
     with urllib.request.urlopen(base + path, timeout=max_s) as response:
         event_type = data = None
         for raw in response:
@@ -83,7 +85,29 @@ def _read_sse(base, path, max_s=30.0):
             elif line == "" and event_type is not None:
                 frames.append((event_type, json.loads(data)))
                 event_type = data = None
+                if opened is not None:
+                    opened.set()
+                if until is not None and until(*frames[-1]):
+                    break
     return frames
+
+
+def _subscribe_sse(base, path, until=None):
+    """Read ``path`` on a thread; returns ``(frames, thread)`` once the
+    opening ``state`` frame arrived, so the stream's bus subscription is
+    live before the caller publishes anything.  No stream replays history."""
+    frames, opened = [], threading.Event()
+    thread = threading.Thread(
+        target=_read_sse, args=(base, path),
+        kwargs={"frames": frames, "opened": opened, "until": until}, daemon=True,
+    )
+    thread.start()
+    assert opened.wait(10), f"{path} sent no opening frame"
+    return frames, thread
+
+
+def _is_terminal_job_frame(kind, event):
+    return kind == "job" and event["data"]["state"] in ("done", "failed")
 
 
 class TestEndToEnd:
@@ -97,15 +121,25 @@ class TestEndToEnd:
 
     def test_submit_stream_and_terminal_state(self, server):
         base, _service = server
+        frames, reader = _subscribe_sse(
+            base, "/events?idle=3", until=_is_terminal_job_frame
+        )
         submitted = _post(base, "/jobs", SPEC)
         assert submitted["created"] is True
         job_id = submitted["job"]["id"]
-
-        frames = _read_sse(base, f"/jobs/{job_id}/events?idle=3")
-        kinds = [k for k, _ in frames]
-        assert kinds[0] == "state"
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        ours = [(kind, event) for kind, event in frames[1:] if event["job"] == job_id]
+        kinds = [kind for kind, _ in ours]
+        assert frames[0][0] == "state"
         assert "progress" in kinds
         assert "cell.metrics" in kinds
+        assert kinds[-1] == "job" and ours[-1][1]["data"]["state"] == "done"
+
+        # A job's own stream opens with its state: here, the terminal record.
+        opening = _read_sse(base, f"/jobs/{job_id}/events?idle=0.5")
+        assert opening[0][0] == "state"
+        assert opening[0][1]["job"]["state"] == "done"
         job = _wait_terminal(base, job_id)
         assert job["state"] == "done"
         assert job["executed"] == 2
@@ -165,8 +199,10 @@ class TestEndToEnd:
 
     def test_sse_limit_closes_stream(self, server):
         base, _service = server
+        frames, reader = _subscribe_sse(base, "/events?limit=2&idle=5")
         _post(base, "/jobs", dict(SPEC, seeds=[3]))
-        frames = _read_sse(base, "/events?limit=2&idle=5")
+        reader.join(timeout=30)
+        assert not reader.is_alive()
         # opening state frame + exactly `limit` bus events
         assert len(frames) == 3
         assert frames[0][0] == "state"
@@ -192,6 +228,17 @@ class TestEndToEnd:
             _post(base, "/jobs", {"seeds": []})
         assert err.value.code == 400
         assert "seeds" in json.loads(err.value.read())["error"]
+
+    @pytest.mark.parametrize("body, field", [
+        ({"kind": "fault", "ack_loss": 2.0}, "ack_loss"),
+        ({"kind": "fault", "params": {"stochastic": True, "mtbf_s": 0}}, "mtbf_s"),
+    ])
+    def test_bad_fault_values_are_a_400_naming_the_field(self, server, body, field):
+        base, _service = server
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/jobs", body)
+        assert err.value.code == 400
+        assert f"'{field}'" in json.loads(err.value.read())["error"]
 
     @pytest.mark.parametrize(
         "path, length_header, status",

@@ -332,7 +332,7 @@ def test_peek_time_recycled_entries_are_reusable():
 
 
 # ----------------------------------------------------------------------
-# Observers (multi-observer dispatch + legacy event_hook property)
+# Observers (multi-observer dispatch)
 # ----------------------------------------------------------------------
 def test_observers_dispatch_in_registration_order():
     sim = Simulator()
@@ -373,42 +373,6 @@ def test_remove_observer_returns_false_when_absent():
     assert sim.remove_observer(fn) is True
     assert sim.remove_observer(fn) is False
     assert sim.observers == ()
-
-
-def test_event_hook_property_reflects_observer_list():
-    sim = Simulator()
-    assert sim.event_hook is None
-    a = sim.add_observer(lambda ev: None)
-    assert sim.event_hook is a
-    b = sim.add_observer(lambda ev: None)
-    composite = sim.event_hook
-    assert composite is not a and composite is not b
-    sim.remove_observer(b)
-    assert sim.event_hook is a
-
-
-def test_event_hook_setter_replaces_all_observers():
-    sim = Simulator()
-    seen = []
-    sim.add_observer(lambda ev: seen.append("old-a"))
-    sim.add_observer(lambda ev: seen.append("old-b"))
-    sim.event_hook = lambda ev: seen.append("new")
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert seen == ["new"]
-    sim.event_hook = None
-    assert sim.observers == ()
-
-
-def test_event_hook_composite_is_callable_snapshot():
-    sim = Simulator()
-    seen = []
-    sim.add_observer(lambda ev: seen.append("a"))
-    sim.add_observer(lambda ev: seen.append("b"))
-    composite = sim.event_hook
-    ev = sim.schedule(1.0, lambda: None)
-    composite(ev)
-    assert seen == ["a", "b"]
 
 
 def test_step_dispatches_observers():

@@ -1,7 +1,5 @@
 """Unit tests for the canonical dragonfly topology."""
 
-import pickle
-
 import pytest
 
 from repro.parallel.tasks import make_topology
@@ -157,16 +155,13 @@ def test_alternative_paths_decorrelate_across_flows():
     assert len(first_detours) > 1
 
 
-def test_route_cache_preserves_answers_and_pickles():
+def test_route_cache_preserves_answers():
     cold = Dragonfly(4, 2, 2)
     warm = Dragonfly(4, 2, 2)
     warm.enable_route_cache()
     for src, dst in [(0, 35), (5, 5), (12, 14), (20, 3)]:
         assert warm.minimal_route(src, dst) == cold.minimal_route(src, dst)
         assert warm.minimal_route(src, dst) == warm.minimal_route(src, dst)
-    clone = pickle.loads(pickle.dumps(warm))
-    assert clone.minimal_route(0, 35) == cold.minimal_route(0, 35)
-    assert clone.num_hosts == cold.num_hosts
 
 
 def test_describe_mentions_geometry():
