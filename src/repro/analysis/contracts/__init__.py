@@ -18,7 +18,7 @@ bit-stability rests on:
     across all modules, not just ``__init__``.
 ``scheduler-callback``
     ``schedule(...)`` call sites must pack an argument count the callee
-    accepts (the Event freelist makes runtime arity errors hard to
+    accepts (the event freelist makes runtime arity errors hard to
     attribute).
 ``frozen-stats-keys``
     ``stats()`` key sets are append-only versus ``stats_manifest.json``.

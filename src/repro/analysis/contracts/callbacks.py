@@ -3,7 +3,7 @@
 The engine dispatches ``fn(*args)`` with whatever arguments the call
 site packed into the event (:meth:`repro.sim.engine.Simulator.schedule`).
 An arity mismatch is invisible until the event *fires* — and with the
-Event freelist recycling payloads, the traceback points at the dispatch
+event freelist recycling payloads, the traceback points at the dispatch
 loop, not the buggy ``schedule`` call made milliseconds of sim-time
 earlier.  This pass checks every call site statically:
 

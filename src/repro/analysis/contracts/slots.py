@@ -1,14 +1,15 @@
 """slots-consistency: every attribute written on a slotted class exists.
 
 ``__slots__`` (and ``@dataclass(slots=True)``) is how the hot path keeps
-Packet/Event/OutputPort/VC allocation lean (docs/performance.md), but it
+Packet/OutputPort/VC allocation lean (docs/performance.md), but it
 turns a typo'd or undeclared attribute assignment into a *runtime*
 ``AttributeError`` — possibly deep inside a seeded campaign hours in.
 This pass checks every assignment site statically, across all modules:
 
 * ``self.x = ...`` inside methods of a slotted class must name a slot,
   a declared dataclass field, an inherited slot, or a class-level name
-  (properties route through the class, e.g. ``Event.time``);
+  (a property's setter, for instance, routes the write through the
+  class);
 * ``obj.x = ...`` anywhere, when ``obj`` is bound to a slotted class by
   a parameter annotation (``packet: Packet``), a local annotation, or a
   direct constructor call (``ack = Packet(...)``), must do the same.

@@ -44,7 +44,7 @@ from typing import Optional
 
 from repro.core.thresholds import Zone
 from repro.network.packet import DATA
-from repro.sim.engine import Event
+from repro.sim.engine import ARGS, CANCELLED, FN, Event, EventView
 
 
 class InvariantViolation(AssertionError):
@@ -85,21 +85,22 @@ class DebugInvariants:
     # ------------------------------------------------------------------
     # Event-level checks
     # ------------------------------------------------------------------
-    def _on_event(self, event: Event) -> None:
-        if event.time < self._last_event_time:
+    def _on_event(self, event: EventView) -> None:
+        time = event.time
+        if time < self._last_event_time:
             self._fail(
-                f"clock ran backwards: event at t={event.time!r} after "
+                f"clock ran backwards: event at t={time!r} after "
                 f"t={self._last_event_time!r}"
             )
-        if event.time != self.sim.now:
+        if time != self.sim.now:
             self._fail(
                 f"engine clock {self.sim.now!r} disagrees with executing "
-                f"event time {event.time!r}"
+                f"event time {time!r}"
             )
-        self._last_event_time = event.time
+        self._last_event_time = time
         self.events_seen += 1
         if self.events_seen % self.check_interval_events == 0:
-            self.check(current_event=event)
+            self.check(current_event=event.entry)
 
     # ------------------------------------------------------------------
     # State-scan checks
@@ -145,13 +146,13 @@ class DebugInvariants:
         count = 0
 
         def _count_event(event: Event) -> int:
-            if event.cancelled:
+            if event[CANCELLED]:
                 return 0
-            if event.fn not in (fabric._arrive, fabric._deliver):
+            if event[FN] not in (fabric._arrive, fabric._deliver):
                 return 0
             return sum(
                 1
-                for arg in event.args
+                for arg in event[ARGS]
                 if getattr(arg, "kind", None) == DATA
             )
 

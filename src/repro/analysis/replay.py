@@ -29,6 +29,8 @@ import struct
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME
+
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultPlan
     from repro.metrics.recorder import StatsRecorder
@@ -135,10 +137,10 @@ class EventTraceDigest:
         return self
 
     def update(self, event) -> None:
-        # An event is a list ``[time, priority, sequence, fn, ...]``
-        # (repro.sim.engine.Event); indexing skips four property calls.
+        # Read the event list by offset: four property calls cost more.
+        entry = event.entry
         self.events += 1
-        fn = event[3]
+        fn = entry[FN]
         qualname = getattr(fn, "__qualname__", None)
         if qualname is None:
             label = repr(fn).encode("utf-8")
@@ -147,7 +149,7 @@ class EventTraceDigest:
             if label is None:
                 label = _LABELS[qualname] = qualname.encode("utf-8")
         buffer = self._buffer
-        buffer += _EVENT_HEAD.pack(event[0], event[1], event[2])
+        buffer += _EVENT_HEAD.pack(entry[TIME], entry[PRIORITY], entry[SEQUENCE])
         buffer += label
         if self.events % _DIGEST_BLOCK_EVENTS == 0:
             self._chain = hashlib.sha256(self._chain + buffer).digest()

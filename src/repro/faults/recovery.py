@@ -98,7 +98,7 @@ class ReliableTransport:
         if entry is None:
             return  # duplicate ACK for an already-settled packet
         if entry.timer is not None:
-            entry.timer.cancel()
+            self.sim.cancel(entry.timer)
         if entry.retries > 0:
             self.recovered += 1
             self.recovery_latencies_s.append(now - entry.packet.created_at)
@@ -119,7 +119,7 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     def _arm_timer(self, pkey, entry: _Pending) -> None:
         if entry.timer is not None:
-            entry.timer.cancel()
+            self.sim.cancel(entry.timer)
         entry.timer = self.sim.schedule(
             self.config.timeout_for(entry.retries), self._expire, pkey
         )
@@ -133,7 +133,7 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     def _retransmit_or_abandon(self, pkey, entry: _Pending, now: float) -> None:
         if entry.timer is not None:
-            entry.timer.cancel()
+            self.sim.cancel(entry.timer)
             entry.timer = None
         src, dst, _seq = pkey
         # The outstanding copy is written off either way; a fresh send (if

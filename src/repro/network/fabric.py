@@ -17,6 +17,7 @@ then returns a latency-only ACK).
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from repro.network.config import NetworkConfig
@@ -32,7 +33,8 @@ from repro.network.packet import (
 )
 from repro.network.router import OutputPort, Router
 from repro.routing.base import RoutingPolicy
-from repro.sim.engine import Simulator
+from repro.sim.engine import ARGS, CANCELLED, FN, PRIORITY, SEQUENCE, TIME
+from repro.sim.engine import SimulationError, Simulator
 from repro.topology.base import Topology
 
 DESTINATION_BASED = "destination"
@@ -89,7 +91,10 @@ class Fabric:
         self._packet_size = config.packet_size_bytes
         self._onoff = config.flow_control == "onoff"
         self._per_hop = bool(getattr(policy, "per_hop", False))
-        self._schedule_at = sim.schedule_at
+        # Bound once: ``_arrive`` pushes its successor events itself, and
+        # the event digest reads these callbacks' ``__qualname__``.
+        self._arrive_next = self._arrive
+        self._deliver_next = self._deliver
         handler = self._router_congestion if notification == ROUTER_BASED else None
         self.routers = [
             Router(r, config, congestion_handler=handler)
@@ -210,9 +215,7 @@ class Fabric:
                     ("flow", f"{packet.src}-{packet.dst}"),
                     args={"size_bytes": packet.size_bytes, "msp": packet.msp_index},
                 )
-        self._schedule_at(
-            exit_time + self._link_delay_s, self._arrive, packet
-        )
+        self.sim.schedule_at(exit_time + self._link_delay_s, self._arrive, packet)
 
     # ------------------------------------------------------------------
     # Drop accounting
@@ -249,7 +252,8 @@ class Fabric:
     # Per-router forwarding
     # ------------------------------------------------------------------
     def _arrive(self, packet: Packet) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if self.failed_links and not self._crossed_link_alive(packet):
             # The link died while the packet was on the wire: a fault is
             # not a routing decision, so packets already committed to the
@@ -269,10 +273,8 @@ class Fabric:
             port = router.host_ports.get(packet.dst)
             if port is None:
                 port = router.port_to("host", packet.dst)
-            depart = router.forward(packet, port, now)
-            self._schedule_at(
-                depart + self._link_delay_s, self._deliver, packet
-            )
+            time = router.forward(packet, port, now) + self._link_delay_s
+            fn = self._deliver_next
         else:
             next_router = path[hop + 1]
             if self.failed_links and not self.link_alive(path[hop], next_router):
@@ -289,12 +291,32 @@ class Fabric:
                 return
             depart = router.forward(packet, port, now)
             packet.hop = hop + 1
-            delay = (
+            time = depart + (
                 self._link_delay_s
                 if not self.degraded_links
                 else self.link_delay(path[hop], next_router)
             )
-            self._schedule_at(depart + delay, self._arrive, packet)
+            fn = self._arrive_next
+        # Simulator.schedule_at(time, fn, packet), inlined: this is the
+        # per-hop hot path.
+        if time < now:
+            raise SimulationError(
+                f"cannot schedule at {time!r}, clock already at {now!r}"
+            )
+        seq = sim._sequence
+        sim._sequence = seq + 1
+        free = sim._free
+        if free:
+            event = free.pop()
+            event[TIME] = time
+            event[PRIORITY] = 0
+            event[SEQUENCE] = seq
+            event[FN] = fn
+            event[ARGS] = (packet,)
+            event[CANCELLED] = False
+        else:
+            event = [time, 0, seq, fn, (packet,), False]
+        heapq.heappush(sim._queue, event)
 
     def _crossed_link_alive(self, packet: Packet) -> bool:
         """Is the link this packet just traversed still up on arrival?"""
@@ -305,10 +327,7 @@ class Fabric:
     def _stalled(self, router: Router, port: OutputPort, packet: Packet, now: float) -> bool:
         """On/Off flow control: hold the packet upstream until the full
         output buffer drains (§2.1.3).  Returns True when a retry was
-        scheduled.  Callers gate on ``self._onoff``; the check is repeated
-        here so direct calls stay correct."""
-        if not self._onoff:
-            return False
+        scheduled.  The caller checks ``self._onoff``."""
         if router.buffer_available(port, packet.size_bytes, now):
             return False
         port.stalls += 1
@@ -630,9 +649,9 @@ class Fabric:
         hops = (self._arrive, self._deliver, self._inject)
         found = []
         for event in self.sim._queue:
-            if event.cancelled or event.fn not in hops:
+            if event[CANCELLED] or event[FN] not in hops:
                 continue
-            found.extend(arg for arg in event.args if isinstance(arg, Packet))
+            found.extend(arg for arg in event[ARGS] if isinstance(arg, Packet))
         if self._vc is not None:
             for state in self._vc._states.values():
                 for queue in state.queues:

@@ -104,10 +104,9 @@ class Router:
         # Shared with the config's serialization memo: misses fall back to
         # config.tx_time_s, which fills this same dict.
         self._tx_cache = config._tx_cache
-        # Aggregate, per-router contention statistics (latency maps).
+        # Aggregate, per-router contention statistics (latency maps); the
+        # forwarded counts are sums over the ports.
         self.total_wait_s = 0.0
-        self.packets_forwarded = 0
-        self.bytes_forwarded = 0
         #: optional metrics hook: fn(router_id, now, wait_s)
         self.wait_observer: Optional[Callable[[int, float, float], None]] = None
         #: optional :class:`repro.obs.tracer.Tracer`; only the (rare) CFD
@@ -177,8 +176,8 @@ class Router:
         queue.append((depart, flow, size))
         port.occupancy_bytes += size
         flow_bytes[flow] = flow_bytes.get(flow, 0) + size
-        if depart > port.busy_until:
-            port.busy_until = depart
+        # depart_start >= busy and tx >= 0, so this never moves it back.
+        port.busy_until = depart
 
         # --- account (inlined) ---
         packet.path_latency += wait
@@ -186,8 +185,6 @@ class Router:
         port.packets += 1
         port.bytes += size
         self.total_wait_s += wait
-        self.packets_forwarded += 1
-        self.bytes_forwarded += size
         if self.wait_observer is not None:
             self.wait_observer(self.router_id, now, wait)
         if (
@@ -238,8 +235,6 @@ class Router:
         port.packets += 1
         port.bytes += size
         self.total_wait_s += wait
-        self.packets_forwarded += 1
-        self.bytes_forwarded += size
         if self.wait_observer is not None:
             self.wait_observer(self.router_id, now, wait)
 
@@ -352,8 +347,17 @@ class Router:
 
     # ------------------------------------------------------------------
     @property
+    def packets_forwarded(self) -> int:
+        """Packets served through any port of this router."""
+        return sum(port.packets for port in self.ports.values())
+
+    @property
+    def bytes_forwarded(self) -> int:
+        """Bytes served through any port of this router."""
+        return sum(port.bytes for port in self.ports.values())
+
+    @property
     def mean_contention_latency_s(self) -> float:
         """Average buffer wait across all forwarded packets (latency map z)."""
-        if not self.packets_forwarded:
-            return 0.0
-        return self.total_wait_s / self.packets_forwarded
+        packets = self.packets_forwarded
+        return self.total_wait_s / packets if packets else 0.0

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from typing import Callable, Optional
 
 from repro.obs.tracer import TraceRecord
+from repro.sim.engine import TIME
 
 #: default latency-style histogram bucket bounds, in seconds.
 DEFAULT_BOUNDS = (
@@ -181,7 +182,7 @@ class MetricsRegistry:
         self._next_due = sim.now + cadence_s
 
         def on_event(event) -> None:
-            t = event[0]  # Event.time, read by index on every event
+            t = event.entry[TIME]
             while t >= self._next_due:
                 self.snapshot(self._next_due)
                 self._next_due += cadence_s

@@ -64,6 +64,9 @@ def _grid_tasks(parser: argparse.ArgumentParser, args) -> list[SimTask]:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     if args.timeout is not None and not args.timeout > 0:
         parser.error(f"argument --timeout: must be > 0 seconds, got {args.timeout}")
+    if args.timeout is not None and args.workers < 2:
+        parser.error("argument --timeout: needs --workers >= 2 (an inline sweep cannot "
+                     f"stop a running cell), got --workers {args.workers}")
     if args.retries < 0:
         parser.error(f"argument --retries: must be >= 0, got {args.retries}")
     try:
@@ -154,7 +157,9 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     tasks = args.tasks
     parallel_config = _sweep_config(args, None)
-    serial = run_sweep(tasks, dataclasses.replace(parallel_config, workers=1))
+    serial = run_sweep(
+        tasks, dataclasses.replace(parallel_config, workers=1, timeout_s=None)
+    )
     parallel = run_sweep(tasks, parallel_config)
     if not serial.all_ok or not parallel.all_ok:
         print("FAIL: sweep cells failed", file=sys.stderr)

@@ -51,7 +51,8 @@ class SweepConfig:
 
     #: worker processes; <= 1 executes inline (no pool, no crash isolation).
     workers: int = 1
-    #: per-task wall-clock budget; None disables (inline mode ignores it).
+    #: per-task wall-clock budget; None disables.  Needs ``workers >= 2``:
+    #: an inline cell cannot be stopped, so :func:`run_sweep` refuses it.
     timeout_s: Optional[float] = None
     #: retry budget per cell *beyond* the first attempt.
     max_retries: int = 3
@@ -211,9 +212,13 @@ def run_sweep(
     callables and cannot cross the pickle boundary, so only the inline
     backend (``workers <= 1``) publishes them; pooled sweeps stream
     progress events only.  Attaching a hook never changes cell results —
-    the registry rides the simulator observer list.
+    the registry rides the simulator observer list.  An inline sweep
+    cannot stop a running cell, so it raises ``ValueError`` on a timeout.
     """
     config = config or SweepConfig()
+    if config.timeout_s is not None and config.workers <= 1:
+        raise ValueError(f"timeout_s={config.timeout_s} needs workers >= 2: an inline "
+                         f"sweep (workers={config.workers}) cannot stop a running cell")
     version = config.resolved_version()
     cache = ResultCache(config.cache_dir) if config.cache_dir else None
 
@@ -338,7 +343,8 @@ def _run_inline(
     record_success, record_failure,
     metrics_hook=None, metrics_cadence_s=None,
 ) -> None:
-    """Serial backend: same semantics minus crash isolation/timeouts."""
+    """Serial backend: same semantics minus crash isolation (and no
+    timeouts: :func:`run_sweep` refuses them here)."""
 
     def cell_hook(cell):
         if metrics_hook is None:

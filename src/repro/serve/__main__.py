@@ -6,9 +6,10 @@
 ``python -m repro.serve --selftest``
     End-to-end smoke on an ephemeral port (exit 0 iff all hold):
 
-    1. POST a pinned ``mesh:4`` two-cell replay grid; watch its SSE
-       stream and require progress events, per-cell metrics snapshots,
-       and a terminal ``done`` state.
+    1. POST a pinned ``mesh:4`` two-cell replay grid; watch the SSE
+       firehose (subscribed before the POST) and require progress
+       events, per-cell metrics snapshots and a terminal ``done`` state
+       for the job, and an opening ``state`` frame on its own stream.
     2. Re-POST the identical grid and require **zero** recomputed cells
        — every cell answers from the content-addressed result cache.
     3. Fetch the per-cell results and require the event/metric digests
@@ -71,9 +72,11 @@ def _post_json(base: str, path: str, payload: dict) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _read_sse(base: str, path: str, max_s: float = 30.0) -> list[dict]:
-    """Collect ``(event, payload)`` frames until the server closes us."""
-    frames: list[dict] = []
+def _read_sse(base: str, path: str, max_s: float = 30.0, frames=None, opened=None,
+              until=None) -> list[dict]:
+    """Collect ``{"event", "payload"}`` frames until the server closes us
+    or ``until(frame)`` holds; sets ``opened`` at the first frame."""
+    frames = [] if frames is None else frames
     deadline = time.monotonic() + max_s  # repro: allow(no-wall-clock)
     with urllib.request.urlopen(base + path, timeout=max_s) as response:
         event_type, data = None, None
@@ -90,7 +93,15 @@ def _read_sse(base: str, path: str, max_s: float = 30.0) -> list[dict]:
             elif line == "" and event_type is not None and data is not None:
                 frames.append({"event": event_type, "payload": json.loads(data)})
                 event_type, data = None, None
+                if opened is not None:
+                    opened.set()
+                if until is not None and until(frames[-1]):
+                    break
     return frames
+
+
+def _is_terminal(frame: dict) -> bool:
+    return frame["event"] == "job" and frame["payload"]["data"]["state"] in ("done", "failed")
 
 
 def _wait_terminal(base: str, job_id: str, max_s: float = 30.0) -> dict:
@@ -123,22 +134,31 @@ def run_selftest(cache_dir: str, journal_path: str) -> int:
         health = _get_json(base, "/healthz")
         check("healthz", health.get("ok") is True)
 
-        # 1. Submit the pinned grid and watch its SSE stream live.
+        # 1. Submit the pinned grid and watch the SSE firehose live.  It is
+        # subscribed (opening frame read) before the POST, because no
+        # stream replays history.
+        firehose: list[dict] = []
+        opened = threading.Event()
+        reader = threading.Thread(
+            target=_read_sse, args=(base, "/events?idle=3"), daemon=True,
+            kwargs={"frames": firehose, "opened": opened, "until": _is_terminal},
+        )
+        reader.start()
+        opened.wait(10)
         submitted = _post_json(base, "/jobs", SMOKE_SPEC)
         job_id = submitted["job"]["id"]
         check("submit", submitted["created"] is True, job_id)
-        frames = _read_sse(base, f"/jobs/{job_id}/events?idle=3")
+        reader.join(timeout=30)
+        frames = [f for f in firehose[1:] if f["payload"].get("job") == job_id]
         kinds = [f["event"] for f in frames]
-        check("sse.state-frame", bool(kinds) and kinds[0] == "state")
+        opening = _read_sse(base, f"/jobs/{job_id}/events?idle=0.5")
+        check("sse.state-frame", bool(opening) and opening[0]["event"] == "state")
         check("sse.progress", "progress" in kinds, f"{kinds.count('progress')} frames")
         check(
             "sse.cell-metrics", "cell.metrics" in kinds,
             f"{kinds.count('cell.metrics')} snapshots",
         )
-        terminal = [
-            f for f in frames
-            if f["event"] == "job" and f["payload"]["data"]["state"] in ("done", "failed")
-        ]
+        terminal = [f for f in frames if _is_terminal(f)]
         job = _wait_terminal(base, job_id)
         check("job.done", job["state"] == "done", job.get("error") or "")
         check(

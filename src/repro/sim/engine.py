@@ -1,7 +1,7 @@
 """Core discrete-event simulation engine.
 
-A :class:`Simulator` owns a priority queue of :class:`Event` records ordered
-by ``(time, priority, sequence)``.  Model components schedule callbacks with
+A :class:`Simulator` owns a priority queue of events ordered by
+``(time, priority, sequence)``.  Model components schedule callbacks with
 :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.schedule_at`
 (absolute time).  The sequence number guarantees deterministic FIFO ordering
 among simultaneous events, which keeps whole simulations reproducible for a
@@ -10,12 +10,15 @@ run-to-run comparability matters.
 
 Hot-path design (see docs/performance.md for the measured ledger):
 
-* an :class:`Event` *is* its own heap entry — a ``list`` subclass laid out
-  as ``[time, priority, sequence, fn, args, cancelled]`` — so the calendar
-  holds one object per event instead of a ``(key, Event)`` pair, heap
-  comparisons stay element-wise C ``list`` comparisons (``sequence`` is
-  unique, so ``fn``/``args`` are never compared), and the dispatch loop
-  indexes fields instead of chasing attributes;
+* an event is a plain ``list`` laid out as
+  ``[time, priority, sequence, fn, args, cancelled]`` and read through the
+  offsets :data:`TIME` ... :data:`CANCELLED`.  It is its own heap entry, so
+  the calendar holds one object per event, and heap comparisons stay
+  element-wise C ``list`` comparisons (``sequence`` is unique, so
+  ``fn``/``args`` are never compared).  It is an exact ``list`` and not a
+  subclass because CPython 3.11 specialises ``x[i]`` and ``x[i] = v`` only
+  for exact lists: on a subclass every subscript takes the generic path,
+  several times slower, and the engine makes about 13 per event;
 * executed and cancelled-skipped events are recycled through a freelist, so
   steady-state simulation allocates no event objects at all;
 * :meth:`Simulator.run` hoists every loop-invariant lookup and re-reads only
@@ -25,9 +28,9 @@ Hot-path design (see docs/performance.md for the measured ledger):
 Observation: any number of observers may watch event dispatch through
 :meth:`Simulator.add_observer` (the seeded-replay digests, the runtime
 invariant checker, and the :mod:`repro.obs` metrics cadence all ride this).
-Observers are called with each event just before its callback runs and must
-never mutate simulation state; with none installed the cost is a single
-``is not None`` branch per event.
+Observers are called with an :class:`EventView` of each event just before
+its callback runs and must never mutate simulation state; with none
+installed the cost is a single ``is not None`` branch per event.
 
 Every optimization here is digest-gated: ``python -m repro.perf`` replays a
 seeded scenario suite and fails on any drift in the event-trace or metrics
@@ -40,11 +43,15 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
-#: Signature of :meth:`Simulator.add_observer` observers.
-EventHook = Callable[["Event"], None]
+#: Field offsets inside an event list.
+TIME, PRIORITY, SEQUENCE, FN, ARGS, CANCELLED = range(6)
 
-#: Field offsets inside an :class:`Event` heap entry.
-_TIME, _PRIORITY, _SEQUENCE, _FN, _ARGS, _CANCELLED = range(6)
+#: A scheduled callback, ``[time, priority, sequence, fn, args, cancelled]``.
+#: The event :meth:`Simulator.schedule` returns may be passed to
+#: :meth:`Simulator.cancel` until it fires, from its own callback too.  Once
+#: it has fired the engine may reuse the list for an unrelated event, so a
+#: holder drops its reference then and never cancels it again.
+Event = list
 
 
 def _never(*_args: Any) -> None:  # pragma: no cover - must never fire
@@ -55,84 +62,29 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (negative delays, past times)."""
 
 
-class Event(list):
-    """A scheduled callback: ``[time, priority, sequence, fn, args, cancelled]``.
+class EventView:
+    """What an observer is shown: the event about to run, by field name.
 
-    Ordering is by ``time``, then ``priority`` (lower first), then insertion
-    ``sequence`` so that ties resolve FIFO.  The event is pushed onto the
-    calendar heap *directly*; ``list`` comparison resolves the ordering in C
-    without ever reaching the non-comparable ``fn``/``args`` fields because
-    ``sequence`` is unique per simulator.
-
-    Lifetime contract: the handle returned by :meth:`Simulator.schedule` is
-    valid for :meth:`cancel` until the event has fired (cancelling from
-    inside the event's own callback is also safe — recycling happens only
-    after the callback returns).  Once the callback has run, the engine may
-    *reuse* the object for a future, unrelated event; holders must therefore
-    drop (or overwrite) their reference when the callback fires and must not
-    cancel an event they know has already executed.
+    ``entry`` is the event list itself.  Each simulator reuses one view for
+    every dispatch, so an observer that keeps anything must copy it
+    (``list(view.entry)``).
     """
 
-    __slots__ = ()
+    __slots__ = ("entry",)
 
-    @property
-    def time(self) -> float:
-        return self[_TIME]
+    def __init__(self, entry: Optional[Event] = None) -> None:
+        self.entry = entry
 
-    @time.setter
-    def time(self, value: float) -> None:
-        self[_TIME] = value
+    time = property(lambda self: self.entry[TIME])
+    priority = property(lambda self: self.entry[PRIORITY])
+    sequence = property(lambda self: self.entry[SEQUENCE])
+    fn = property(lambda self: self.entry[FN])
+    args = property(lambda self: self.entry[ARGS])
+    cancelled = property(lambda self: self.entry[CANCELLED])
 
-    @property
-    def priority(self) -> int:
-        return self[_PRIORITY]
 
-    @priority.setter
-    def priority(self, value: int) -> None:
-        self[_PRIORITY] = value
-
-    @property
-    def sequence(self) -> int:
-        return self[_SEQUENCE]
-
-    @sequence.setter
-    def sequence(self, value: int) -> None:
-        self[_SEQUENCE] = value
-
-    @property
-    def fn(self) -> Callable[..., None]:
-        return self[_FN]
-
-    @fn.setter
-    def fn(self, value: Callable[..., None]) -> None:
-        self[_FN] = value
-
-    @property
-    def args(self) -> tuple:
-        return self[_ARGS]
-
-    @args.setter
-    def args(self, value: tuple) -> None:
-        self[_ARGS] = value
-
-    @property
-    def cancelled(self) -> bool:
-        return self[_CANCELLED]
-
-    @cancelled.setter
-    def cancelled(self, value: bool) -> None:
-        self[_CANCELLED] = value
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self[_CANCELLED] = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self[_CANCELLED] else "live"
-        return (
-            f"<Event t={self[_TIME]!r} prio={self[_PRIORITY]} "
-            f"seq={self[_SEQUENCE]} {state}>"
-        )
+#: Signature of :meth:`Simulator.add_observer` observers.
+EventHook = Callable[[EventView], None]
 
 
 class Simulator:
@@ -146,23 +98,24 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now: float = start_time
-        #: heap of :class:`Event` entries (each event is its own heap key).
+        #: heap of events (each event list is its own heap key).
         self._queue: list[Event] = []
         #: recycled events awaiting reuse; bounds allocation to the peak
         #: number of simultaneously pending events.
         self._free: list[Event] = []
         self._sequence: int = 0
         self._events_executed: int = 0
-        self._running: bool = False
         self._stopped: bool = False
         # Observers called with each event just before its callback runs
         # (the clock has already advanced to the event's time).  The tuple
         # is replaced wholesale on add/remove, so a dispatch in progress
         # keeps iterating its snapshot; ``_dispatch`` is the hot-path view:
         # None (no observers), the single observer itself, or
-        # :meth:`_dispatch_all`.
+        # :meth:`_dispatch_all`.  Every dispatch shows ``_view``, pointed
+        # at the event about to run.
         self._observers: tuple[EventHook, ...] = ()
         self._dispatch: Optional[EventHook] = None
+        self._view = EventView()
 
     # ------------------------------------------------------------------
     # Observation
@@ -170,10 +123,11 @@ class Simulator:
     def add_observer(self, fn: EventHook) -> EventHook:
         """Register ``fn`` to be called with each event before it executes.
 
-        Observers run in registration order and must only *observe* —
-        mutating simulation state from an observer voids the determinism
-        digests.  Returns ``fn`` so call sites can keep the handle for
-        :meth:`remove_observer`.
+        ``fn`` receives an :class:`EventView`, valid only for the duration
+        of the call.  Observers run in registration order and must only
+        *observe* — mutating simulation state from an observer voids the
+        determinism digests.  Returns ``fn`` so call sites can keep the
+        handle for :meth:`remove_observer`.
         """
         self._observers = self._observers + (fn,)
         self._rebuild_dispatch()
@@ -209,7 +163,7 @@ class Simulator:
         else:
             self._dispatch = self._dispatch_all
 
-    def _dispatch_all(self, event: "Event") -> None:
+    def _dispatch_all(self, event: EventView) -> None:
         # Reads the tuple once; observers added/removed by an observer
         # affect the next event, not this dispatch.
         for fn in self._observers:
@@ -234,14 +188,14 @@ class Simulator:
         free = self._free
         if free:
             event = free.pop()
-            event[_TIME] = time
-            event[_PRIORITY] = priority
-            event[_SEQUENCE] = seq
-            event[_FN] = fn
-            event[_ARGS] = args
-            event[_CANCELLED] = False
+            event[TIME] = time
+            event[PRIORITY] = priority
+            event[SEQUENCE] = seq
+            event[FN] = fn
+            event[ARGS] = args
+            event[CANCELLED] = False
         else:
-            event = Event((time, priority, seq, fn, args, False))
+            event = [time, priority, seq, fn, args, False]
         heapq.heappush(self._queue, event)
         return event
 
@@ -262,28 +216,23 @@ class Simulator:
         free = self._free
         if free:
             event = free.pop()
-            event[_TIME] = time
-            event[_PRIORITY] = priority
-            event[_SEQUENCE] = seq
-            event[_FN] = fn
-            event[_ARGS] = args
-            event[_CANCELLED] = False
+            event[TIME] = time
+            event[PRIORITY] = priority
+            event[SEQUENCE] = seq
+            event[FN] = fn
+            event[ARGS] = args
+            event[CANCELLED] = False
         else:
-            event = Event((time, priority, seq, fn, args, False))
+            event = [time, priority, seq, fn, args, False]
         heapq.heappush(self._queue, event)
         return event
 
-    def _recycle(self, event: Event) -> None:
-        """Return a popped event to the freelist with its payload cleared.
+    def cancel(self, event: Event) -> None:
+        """Mark ``event`` so the engine skips it when popped.
 
-        Clearing ``fn``/``args`` guarantees a recycled event can never fire
-        with a stale callback and releases references promptly; a late
-        :meth:`Event.cancel` on a freelisted event is harmless because
-        scheduling resets the flag.
+        See :data:`Event` for how long a handle stays valid.
         """
-        event[_FN] = _never
-        event[_ARGS] = ()
-        self._free.append(event)
+        event[CANCELLED] = True
 
     # ------------------------------------------------------------------
     # Execution
@@ -299,11 +248,11 @@ class Simulator:
         this call.
         """
         executed = 0
-        self._running = True
         self._stopped = False
         queue = self._queue
         free = self._free
         pop = heapq.heappop
+        view = self._view
         # Hoist the per-iteration Optional checks: an infinite bound makes
         # ``event_time > bound`` unreachable when no limit was given, and
         # the ``self.now = until`` assignment under it then never runs.
@@ -313,36 +262,35 @@ class Simulator:
             while queue:
                 if self._stopped or executed >= limit:
                     break
-                event = queue[0]
-                if event[_TIME] > bound:
+                if queue[0][TIME] > bound:
                     self.now = until  # type: ignore[assignment]
                     break
-                pop(queue)
-                if event[_CANCELLED]:
-                    event[_FN] = _never
-                    event[_ARGS] = ()
+                event = pop(queue)
+                if event[CANCELLED]:
+                    event[FN] = _never
+                    event[ARGS] = ()
                     free.append(event)
                     continue
-                self.now = event[_TIME]
+                self.now = event[TIME]
                 # The per-event fast path: one branch when nothing is
                 # observing.
                 hook = self._dispatch
                 if hook is not None:
-                    hook(event)
-                fn = event[_FN]
-                args = event[_ARGS]
-                fn(*args)
+                    view.entry = event
+                    hook(view)
+                event[FN](*event[ARGS])
                 executed += 1
                 # Recycle only after the callback ran: a cancel() from
-                # inside the callback must stay a harmless no-op.
-                event[_FN] = _never
-                event[_ARGS] = ()
+                # inside the callback must stay a harmless no-op.  Clearing
+                # fn/args means a recycled event can never fire a stale
+                # callback, and releases its references promptly.
+                event[FN] = _never
+                event[ARGS] = ()
                 free.append(event)
             else:
                 if until is not None and self.now < until:
                     self.now = until
         finally:
-            self._running = False
             # Flushed once instead of per event; every reader of
             # ``events_executed`` observes the total after run() returns.
             self._events_executed += executed
@@ -358,21 +306,7 @@ class Simulator:
         """
         if self._stopped:
             return False
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)
-            if event[_CANCELLED]:
-                self._recycle(event)
-                continue
-            self.now = event[_TIME]
-            hook = self._dispatch
-            if hook is not None:
-                hook(event)
-            event[_FN](*event[_ARGS])
-            self._events_executed += 1
-            self._recycle(event)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current callback.
@@ -410,8 +344,11 @@ class Simulator:
         """
         discarded = 0
         queue = self._queue
-        while queue and queue[0][_CANCELLED]:
-            self._recycle(heapq.heappop(queue))
+        while queue and queue[0][CANCELLED]:
+            event = heapq.heappop(queue)
+            event[FN] = _never
+            event[ARGS] = ()
+            self._free.append(event)
             discarded += 1
         return discarded
 
@@ -423,4 +360,4 @@ class Simulator:
         unaffected, but ``pending`` may decrease.
         """
         self.compact_head()
-        return self._queue[0][_TIME] if self._queue else None
+        return self._queue[0][TIME] if self._queue else None

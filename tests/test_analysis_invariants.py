@@ -8,7 +8,7 @@ from repro.metrics.recorder import StatsRecorder
 from repro.network.config import NetworkConfig
 from repro.network.fabric import Fabric
 from repro.routing import make_policy
-from repro.sim.engine import Simulator
+from repro.sim.engine import TIME, EventView, Simulator
 from repro.sim.rng import RandomStreams
 from repro.topology.mesh import Mesh2D
 from repro.traffic.bursty import BurstSchedule
@@ -116,11 +116,11 @@ def test_clock_regression_detected():
     sim.run()
     # Feed the hook an event that claims to run in the past.
     stale = sim.schedule_at(sim.now, lambda: None)
-    stale.time = 0.5
+    stale[TIME] = 0.5
     sim.now = 0.5
     (observer,) = sim.observers  # the checker's per-event check
     with pytest.raises(InvariantViolation, match="backwards"):
-        observer(stale)
+        observer(EventView(stale))
 
 
 def test_illegal_shrink_outside_low_zone_detected():

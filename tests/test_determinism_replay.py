@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.replay import EventTraceDigest, check_determinism, run_scenario
+from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME, EventView
 from repro.topology import make_topology
 
 
@@ -98,12 +99,12 @@ def _mixed_callback_run():
     function, lambdas, closures and a ``functools.partial`` (no
     ``__qualname__``); returns the digest, the digested copies and the
     event count."""
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
     sim = Simulator()
     digest = EventTraceDigest().install(sim)
     seen = []
-    sim.add_observer(lambda event: seen.append(Event(list(event))))
+    sim.add_observer(lambda event: seen.append(list(event.entry)))
 
     def closure(remaining) -> None:
         if remaining:
@@ -122,10 +123,10 @@ def _mixed_callback_run():
 def test_event_digest_matches_an_independent_reference():
     digest, seen, executed = _mixed_callback_run()
     assert executed == digest.events == len(seen) > 4096
-    labels = {getattr(event.fn, "__qualname__", None) for event in seen}
+    labels = {getattr(event[FN], "__qualname__", None) for event in seen}
     assert {"_tick", "_Clock.fire", "_mixed_callback_run.<locals>.closure",
             "_mixed_callback_run.<locals>.closure.<locals>.<lambda>", None} <= labels
-    records = [(e.time, e.priority, e.sequence, e.fn) for e in seen]
+    records = [(e[TIME], e[PRIORITY], e[SEQUENCE], e[FN]) for e in seen]
     assert digest.hexdigest() == _reference_digest(records)
 
 
@@ -134,10 +135,10 @@ def test_event_digest_pickled_mid_block_continues_exactly():
     cut = 4096 + 1000  # past one fold, mid-block
     first = EventTraceDigest()
     for event in seen[:cut]:
-        first.update(event)
+        first.update(EventView(event))
     resumed = pickle.loads(pickle.dumps(first))
     for event in seen[cut:]:
-        resumed.update(event)
+        resumed.update(EventView(event))
     assert resumed.events == len(seen)
     assert resumed.hexdigest() == digest.hexdigest()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.config import NetworkConfig
-from repro.network.fabric import Fabric
+from repro.network.fabric import DROP_LINK_DOWN, Fabric
 from repro.routing.deterministic import DeterministicPolicy
 from repro.routing.drb import DRBPolicy
 from repro.routing.frdrb import FRDRBConfig, FRDRBPolicy
@@ -47,6 +47,22 @@ def test_deterministic_traffic_dropped_on_failed_link():
     assert fabric.packets_dropped == 5
     assert fabric.data_packets_delivered == 0
     assert fabric.accepted_ratio() == 0.0
+
+
+def test_link_failing_under_a_packet_in_flight_drops_it_on_arrival():
+    fabric, sim = make(DeterministicPolicy())
+    fabric.send(0, 3, 1024)  # DOR path 0-1-2-3, one packet
+    (packet,) = fabric._in_flight_packets()
+    while packet.hop < 2:  # until router 1 has put it on the wire to 2
+        assert sim.step()
+    fabric.fail_link(1, 2)
+    sim.run()
+    # Router 2 finds the link it came over dead and drops the packet
+    # before forwarding it; the link ahead (2-3) is up.
+    assert fabric.dropped_by_reason == {DROP_LINK_DOWN: 1}
+    assert fabric.data_packets_delivered == 0
+    assert fabric.routers[1].packets_forwarded == 1
+    assert fabric.routers[2].packets_forwarded == 0
 
 
 def test_drb_routes_around_failed_link():

@@ -79,18 +79,28 @@ def test_degraded_link_raises_delay_then_recovers():
 
 
 def test_degraded_link_slows_traffic_end_to_end():
+    # The DOR path 0 -> 3 runs 0-1-2-3 and the policy sends no ACK, so the
+    # last event is the delivery: it comes extra_delay_s later for each
+    # crossing of a degraded link.
+    extra = 1e-5
     fabric, sim = make()
     fabric.send(0, 3, 1024)
     sim.run()
-    clean_latency = fabric.recorder  # no recorder installed; use sim time
     clean_done = sim.now
 
-    fabric2, sim2 = make()
-    injector = FaultInjector(fabric2)
-    injector.apply(DegradedLink(1, 2, extra_delay_s=1e-5, at_s=0.0))
-    fabric2.send(0, 3, 1024)
-    sim2.run()
-    assert sim2.now > clean_done
+    for links, crossings in (
+        ([(1, 2)], 1),
+        ([(1, 2), (3, 2)], 2),  # either direction names the same link
+        ([(4, 5)], 0),  # off the path
+    ):
+        fabric2, sim2 = make()
+        injector = FaultInjector(fabric2)
+        for a, b in links:
+            injector.apply(DegradedLink(a, b, extra_delay_s=extra, at_s=0.0))
+        fabric2.send(0, 3, 1024)
+        sim2.run()
+        assert fabric2.data_packets_delivered == 1
+        assert sim2.now == pytest.approx(clean_done + crossings * extra, rel=1e-12)
 
 
 def test_ack_loss_filter_drops_only_acks_in_window():

@@ -99,6 +99,7 @@ class TestBadInputs:
         (("--timeout", "-1"), "--timeout"),
         (("--retries", "-1"), "--retries"),
         (("--kind", "fault", "--ack-loss", "2"), "--ack-loss"),
+        (("--workers", "1", "--timeout", "0.001"), "--timeout"),
     ])
     def test_bad_value_is_a_usage_error_naming_the_flag(
         self, command, argv, flag, capsys, monkeypatch, tmp_path

@@ -179,6 +179,15 @@ class TestPooledSweep:
         assert report.failures[-1].reason == "timeout"
         assert report.failures[-1].final
 
+    def test_inline_sweep_refuses_a_timeout(self):
+        # An inline cell runs in this process and cannot be stopped, so a
+        # timeout there is refused instead of silently ignored.
+        with pytest.raises(ValueError, match="timeout_s"):
+            run_sweep(
+                [selftest("ok")],
+                SweepConfig(workers=1, code_version=VERSION, timeout_s=0.001),
+            )
+
 
 class TestDefaultExecutor:
     """Environment-driven executor config, including the cpu_count clamp."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator, SimulationError
+from repro.sim.engine import ARGS, CANCELLED, FN, Simulator, SimulationError
 
 
 def test_events_run_in_time_order():
@@ -70,7 +70,7 @@ def test_cancelled_events_skipped():
     sim = Simulator()
     fired = []
     ev = sim.schedule(1.0, fired.append, "x")
-    ev.cancel()
+    sim.cancel(ev)
     sim.schedule(2.0, fired.append, "y")
     sim.run()
     assert fired == ["y"]
@@ -114,7 +114,7 @@ def test_max_events_budget():
         sim = Simulator()
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
         if cancel_head:
-            events[0].cancel()
+            sim.cancel(events[0])
         executed = sim.run(max_events=3)
         assert executed == 3
         assert sim.events_executed == 3
@@ -136,7 +136,7 @@ def test_peek_time_skips_cancelled():
     sim = Simulator()
     ev = sim.schedule(1.0, lambda: None)
     sim.schedule(5.0, lambda: None)
-    ev.cancel()
+    sim.cancel(ev)
     assert sim.peek_time() == 5.0
 
 
@@ -178,8 +178,8 @@ def test_compact_head_discards_cancelled_prefix():
     a = sim.schedule(1.0, lambda: None)
     b = sim.schedule(2.0, lambda: None)
     sim.schedule(3.0, lambda: None)
-    a.cancel()
-    b.cancel()
+    sim.cancel(a)
+    sim.cancel(b)
     assert sim.pending == 3  # lazy: cancelled events stay queued
     assert sim.compact_head() == 2
     assert sim.pending == 1
@@ -190,7 +190,7 @@ def test_peek_time_compacts_explicitly():
     sim = Simulator()
     ev = sim.schedule(1.0, lambda: None)
     sim.schedule(5.0, lambda: None)
-    ev.cancel()
+    sim.cancel(ev)
     assert sim.peek_time() == 5.0
     # The documented side effect: the cancelled head is gone afterwards.
     assert sim.pending == 1
@@ -211,14 +211,14 @@ def test_recycled_event_never_fires_stale_callback():
     sim = Simulator()
     stale_calls = []
     doomed = sim.schedule(1.0, stale_calls.append, "stale")
-    doomed.cancel()
+    sim.cancel(doomed)
     sim.run()  # recycles the cancelled event through the freelist
     assert stale_calls == []
 
     fresh_calls = []
     reused = sim.schedule(1.0, fresh_calls.append, "fresh")
     assert reused is doomed  # the same object, recycled
-    assert reused.cancelled is False  # scheduling reset the flag
+    assert reused[CANCELLED] is False  # scheduling reset the flag
     sim.run()
     assert fresh_calls == ["fresh"]
     assert stale_calls == []
@@ -234,12 +234,12 @@ def test_recycled_event_cleared_between_lives():
         p["leaked"] = True
 
     ev = sim.schedule(0.5, cb, payload)
-    ev.cancel()
+    sim.cancel(ev)
     sim.run()
     assert payload["leaked"] is False
-    assert ev.args == ()  # dropped promptly, no lingering reference
+    assert ev[ARGS] == ()  # dropped promptly, no lingering reference
     with pytest.raises(AssertionError):
-        ev.fn()  # the sentinel refuses to run
+        ev[FN]()  # the sentinel refuses to run
 
 
 def test_executed_event_recycled_and_reused():
@@ -262,7 +262,7 @@ def test_cancel_from_own_callback_is_harmless():
 
     def self_cancel():
         order.append("ran")
-        holder["ev"].cancel()
+        sim.cancel(holder["ev"])
 
     holder["ev"] = sim.schedule(1.0, self_cancel)
     sim.schedule(2.0, order.append, "after")
@@ -270,7 +270,7 @@ def test_cancel_from_own_callback_is_harmless():
     assert order == ["ran", "after"]
     # The recycled object is reusable and starts un-cancelled.
     again = sim.schedule(1.0, order.append, "again")
-    assert again.cancelled is False
+    assert again[CANCELLED] is False
     sim.run()
     assert order == ["ran", "after", "again"]
 
@@ -281,7 +281,7 @@ def test_cancelled_skips_do_not_count_toward_max_events():
     sim = Simulator()
     fired = []
     for i in range(5):
-        sim.schedule(1.0 + i, fired.append, i).cancel()
+        sim.cancel(sim.schedule(1.0 + i, fired.append, i))
     for i in range(3):
         sim.schedule(10.0 + i, fired.append, 100 + i)
     executed = sim.run(max_events=3)
@@ -293,7 +293,7 @@ def test_cancelled_skips_do_not_count_toward_max_events():
 def test_step_skips_cancelled_without_counting():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "x").cancel()
+    sim.cancel(sim.schedule(1.0, fired.append, "x"))
     sim.schedule(2.0, fired.append, "y")
     assert sim.step() is True  # one *live* event executed
     assert fired == ["y"]
@@ -310,9 +310,9 @@ def test_cancel_after_execution_is_harmless_to_freelist_reuse():
         fired = []
         ev = sim.schedule(1.0, fired.append, "first")
         if cancel_first:
-            ev.cancel()
+            sim.cancel(ev)
         sim.run()
-        ev.cancel()
+        sim.cancel(ev)
         sim.schedule(1.0, fired.append, "second")
         sim.run()
         assert fired == (["second"] if cancel_first else ["first", "second"])
@@ -322,7 +322,7 @@ def test_peek_time_recycled_entries_are_reusable():
     sim = Simulator()
     a = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    a.cancel()
+    sim.cancel(a)
     assert sim.peek_time() == 2.0  # compacts: `a`'s entry is freelisted
     fired = []
     sim.schedule(0.5, fired.append, "fresh")  # reuses the freelist entry
@@ -342,6 +342,18 @@ def test_observers_dispatch_in_registration_order():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert seen == [("first", 1.0), ("second", 1.0)]
+
+
+def test_observers_see_every_field_by_name():
+    sim = Simulator()
+    fired, seen = [], []
+    sim.add_observer(lambda ev: seen.append(
+        (ev.time, ev.priority, ev.sequence, ev.fn, ev.args, ev.cancelled, list(ev.entry))
+    ))
+    sim.schedule(1.0, fired.append, "x", priority=2)
+    sim.run()
+    assert seen == [(1.0, 2, 0, fired.append, ("x",), False,
+                     [1.0, 2, 0, fired.append, ("x",), False])]
 
 
 def test_remove_observer_during_dispatch_takes_effect_next_event():
