@@ -20,14 +20,8 @@ aspirational, in three layers:
 * :mod:`repro.analysis.replay` — the seeded-replay determinism harness:
   run a scenario twice with the same seed and diff event-trace and metric
   digests.  Run as ``python -m repro.analysis replay``.
-* :mod:`repro.analysis.contracts` — the cross-module contract analyzer:
-  a shared module graph + symbol table with five passes (digest-purity,
-  spawn-safety, slots-consistency, scheduler-callback, frozen-stats-keys)
-  enforcing contracts no single-file lint can see.  Run as
-  ``python -m repro.analysis check``.
-* :mod:`repro.analysis.reporting` — the shared reporting stack: ratchet
-  baselines, SARIF/JSON/text rendering, and the stale-pragma audit, used
-  by both the lints and the contract analyzer.
+* :mod:`repro.analysis.reporting` — the lints' text/JSON rendering and
+  the stale-pragma audit (``python -m repro.analysis src --prune-pragmas``).
 
 See ``docs/invariants.md`` and ``docs/static_analysis.md`` for the
 complete rule & invariant catalogue.

@@ -4,9 +4,6 @@
   (exit 1 on any unsuppressed violation).
 * ``python -m repro.analysis replay [...]`` — run the seeded-replay
   determinism harness (exit 1 when same-seed runs diverge).
-* ``python -m repro.analysis check [...]`` — run the cross-module
-  contract analyzer (digest-purity, spawn-safety, slots-consistency,
-  scheduler-callback, frozen-stats-keys) against the ratchet baseline.
 """
 
 from __future__ import annotations
@@ -19,10 +16,6 @@ def main(argv: list[str]) -> int:
         from repro.analysis.replay import main as replay_main
 
         return replay_main(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.analysis.contracts.cli import main as check_main
-
-        return check_main(argv[1:])
     from repro.analysis.lint import main as lint_main
 
     return lint_main(argv)

@@ -37,7 +37,6 @@ on the statement's first line (several rules comma-separated).  See
 from __future__ import annotations
 
 import ast
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -136,8 +135,7 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
 def allowed_rules(source: str) -> dict[int, set[str]]:
     """Map line number -> rule names suppressed on that line.
 
-    Shared by the per-file lints, the contract passes
-    (:mod:`repro.analysis.contracts`), and the unused-suppression audit
+    Shared by the per-file lints and the unused-suppression audit
     (:func:`repro.analysis.reporting.audit_pragmas`) — one pragma syntax,
     one parser.  Only genuine ``#`` comment tokens count: a pragma-shaped
     string inside a docstring documents the syntax, it doesn't invoke it.
@@ -165,10 +163,6 @@ def allowed_rules(source: str) -> dict[int, set[str]]:
         for lineno, line in enumerate(source.splitlines(), start=1):
             add(lineno, line)
     return allowed
-
-
-#: backwards-compatible private alias (pre-contracts name).
-_allowed_rules = allowed_rules
 
 
 class _Rule:
@@ -649,16 +643,10 @@ def lint_paths(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: ``python -m repro.analysis [paths...] [--format F] [--rule NAME]
-    [--baseline FILE] [--prune-pragmas]``."""
+    [--prune-pragmas]``."""
     import argparse
 
-    from repro.analysis.reporting import (
-        Baseline,
-        audit_pragmas,
-        render_json,
-        render_sarif,
-        render_text,
-    )
+    from repro.analysis.reporting import audit_pragmas, render_json, render_text
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -667,7 +655,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default=None,
         help="output format (default: text)",
     )
@@ -678,21 +666,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--out", help="write the report to this file instead of stdout")
     parser.add_argument(
-        "--baseline",
-        help="ratchet baseline JSON; findings it covers don't fail the run",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--prune-pragmas",
         action="store_true",
-        help=(
-            "audit `# repro: allow(...)` pragmas across lint AND contract "
-            "rules; list the stale ones and exit 1 when any exist"
-        ),
+        help="audit `# repro: allow(...)` pragmas; list the stale ones and exit 1 when any exist",
     )
     parser.add_argument(
         "--rule",
@@ -731,39 +707,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     violations = [v for file in files for v in lint_file(str(file), rules=args.rule_names)]
     files_checked = len(files)
 
-    if args.update_baseline:
-        if not args.baseline:
-            print("error: --update-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        Baseline.from_violations(violations).save(args.baseline)
-        print(f"wrote {args.baseline} ({len(violations)} findings ratcheted)")
-        return 0
-
-    failing = violations
-    absorbed = 0
-    if args.baseline:
-        try:
-            delta = Baseline.load(args.baseline).compare(violations)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: bad baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        failing = delta.new
-        absorbed = delta.suppressed
-
     fmt = args.format or ("json" if args.json else "text")
-    if fmt == "sarif":
-        catalogue = {name: rule.summary for name, rule in ALL_RULES.items()}
-        rendered = render_sarif(failing, catalogue)
-    elif fmt == "json":
-        rendered = render_json(failing, files_checked)
+    if fmt == "json":
+        rendered = render_json(violations, files_checked)
     else:
-        rendered = render_text(failing, files_checked)
-        if absorbed:
-            rendered += f"\n{absorbed} finding(s) absorbed by baseline {args.baseline}"
+        rendered = render_text(violations, files_checked)
 
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(rendered)
-    return 1 if failing else 0
+    return 1 if violations else 0

@@ -652,8 +652,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mesh-side", type=int, default=4)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
+    # Exit 1 means NON-DETERMINISTIC: a bad input must not read as one.
     if args.runs < 2:
         parser.error("--runs must be at least 2 to compare digests")
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    if args.mesh_side < 2:
+        parser.error(f"argument --mesh-side: must be >= 2, got {args.mesh_side}")
+    from repro.routing import check_policy_spec
+
+    try:
+        check_policy_spec(args.policy)
+    except ValueError as exc:
+        parser.error(f"argument --policy: {exc}")
 
     report = check_determinism(
         seed=args.seed, runs=args.runs, policy=args.policy, mesh_side=args.mesh_side

@@ -1,22 +1,13 @@
-"""Shared reporting stack: formats, ratchet baselines, pragma audit.
+"""Reporting for the determinism lints: output formats and pragma audit.
 
-Both analysis front ends — the determinism linter
-(:mod:`repro.analysis.lint`) and the cross-module contract analyzer
-(:mod:`repro.analysis.contracts`) — emit the same finding shape
-(:class:`~repro.analysis.lint.Violation`) and report through this module,
-so there is exactly one implementation of:
+The linter (:mod:`repro.analysis.lint`) reports its findings
+(:class:`~repro.analysis.lint.Violation`) through this module:
 
-* **output formats** — human text, machine JSON, and SARIF 2.1.0 (the
-  interchange format CI code-scanning uploads consume);
-* **ratchet baselines** — a committed JSON ledger of known findings keyed
-  by ``(rule, path, message)`` with a count.  Findings covered by the
-  baseline don't fail the build; *new* findings do, and a baseline can
-  only shrink (``--update-baseline`` rewrites it from the current tree,
-  which CI diffs will show as deletions when debt is paid down);
+* **output formats** — human text and machine JSON;
 * **suppression audit** — ``# repro: allow(<rule>)`` pragmas that no
   longer suppress anything are technical debt in reverse: they hide the
-  rule from future regressions.  :func:`audit_pragmas` runs every known
-  rule (lint *and* contract passes) and reports stale pragmas.
+  rule from future regressions.  :func:`audit_pragmas` runs every lint
+  rule and reports stale pragmas.
 
 See ``docs/static_analysis.md`` for the workflow.
 """
@@ -25,24 +16,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.lint import Violation
 
 __all__ = [
-    "Baseline",
-    "BaselineDelta",
     "StalePragma",
     "audit_pragmas",
     "render_json",
-    "render_sarif",
     "render_text",
 ]
-
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-TOOL_NAME = "repro.analysis"
 
 
 # ----------------------------------------------------------------------
@@ -66,165 +50,6 @@ def render_json(violations: Sequence["Violation"], files_checked: int) -> str:
     )
 
 
-def render_sarif(
-    violations: Sequence["Violation"],
-    rule_catalogue: Mapping[str, str],
-) -> str:
-    """SARIF 2.1.0 document for ``violations``.
-
-    ``rule_catalogue`` maps every rule id that *could* have fired to its
-    one-line summary, so the driver section is stable regardless of which
-    rules actually hit (SARIF viewers key severities off the catalogue).
-    """
-    rule_ids = sorted(rule_catalogue)
-    rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {"text": rule_catalogue[rule_id]},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule_id in rule_ids
-    ]
-    results = []
-    for v in violations:
-        result = {
-            "ruleId": v.rule,
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": Path(v.path).as_posix(),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": max(v.line, 1),
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if v.rule in rule_index:
-            result["ruleIndex"] = rule_index[v.rule]
-        results.append(result)
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Ratchet baseline
-# ----------------------------------------------------------------------
-def _fingerprint(violation: "Violation") -> tuple[str, str, str]:
-    """Identity of a finding across edits: line/col are deliberately
-    excluded so unrelated churn above a known finding doesn't break the
-    ratchet."""
-    return (violation.rule, Path(violation.path).as_posix(), violation.message)
-
-
-@dataclass
-class BaselineDelta:
-    """Result of comparing current findings against a baseline."""
-
-    #: findings not covered by the baseline (these fail the build).
-    new: list["Violation"]
-    #: baseline entries with a higher count than the tree currently has —
-    #: debt that was paid down; ``--update-baseline`` retires them.
-    stale: list[dict]
-    #: findings absorbed by the baseline.
-    suppressed: int
-
-
-class Baseline:
-    """A committed ledger of accepted findings (the ratchet floor).
-
-    File layout::
-
-        {"version": 1,
-         "tool": "repro.analysis",
-         "entries": [{"rule": ..., "path": ..., "message": ..., "count": N},
-                     ...]}
-    """
-
-    VERSION = 1
-
-    def __init__(self, counts: Optional[dict[tuple[str, str, str], int]] = None) -> None:
-        self.counts: dict[tuple[str, str, str], int] = dict(counts or {})
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_violations(cls, violations: Iterable["Violation"]) -> "Baseline":
-        counts: dict[tuple[str, str, str], int] = {}
-        for v in violations:
-            key = _fingerprint(v)
-            counts[key] = counts.get(key, 0) + 1
-        return cls(counts)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {data.get('version')!r} in {path}"
-            )
-        counts: dict[tuple[str, str, str], int] = {}
-        for entry in data.get("entries", []):
-            key = (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
-            counts[key] = counts.get(key, 0) + int(entry.get("count", 1))
-        return cls(counts)
-
-    def save(self, path: str | Path) -> None:
-        entries = [
-            {"rule": rule, "path": file, "message": message, "count": count}
-            for (rule, file, message), count in sorted(self.counts.items())
-        ]
-        payload = {"version": self.VERSION, "tool": TOOL_NAME, "entries": entries}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    # -- comparison -----------------------------------------------------
-    def compare(self, violations: Sequence["Violation"]) -> BaselineDelta:
-        """Split ``violations`` into baseline-absorbed and new.
-
-        Per fingerprint, the first ``baseline_count`` findings (in report
-        order) are absorbed; any excess is new.  Counts the tree no longer
-        produces surface as ``stale`` entries.
-        """
-        budget = dict(self.counts)
-        new: list["Violation"] = []
-        suppressed = 0
-        for v in violations:
-            key = _fingerprint(v)
-            remaining = budget.get(key, 0)
-            if remaining > 0:
-                budget[key] = remaining - 1
-                suppressed += 1
-            else:
-                new.append(v)
-        stale = [
-            {"rule": rule, "path": file, "message": message, "count": count}
-            for (rule, file, message), count in sorted(budget.items())
-            if count > 0
-        ]
-        return BaselineDelta(new=new, stale=stale, suppressed=suppressed)
-
-
 # ----------------------------------------------------------------------
 # Unused-suppression audit
 # ----------------------------------------------------------------------
@@ -245,16 +70,13 @@ class StalePragma:
 def audit_pragmas(paths: Sequence[str]) -> list[StalePragma]:
     """Report every pragma rule name that no longer suppresses a finding.
 
-    Runs *both* engines — the per-file determinism lints and the
-    cross-module contract passes — in suppression-tracking mode, then
-    diffs the set of ``(path, line, rule)`` pragmas actually consumed
-    against the set declared in the sources.
+    Runs the determinism lints in suppression-tracking mode, then diffs
+    the set of ``(path, line, rule)`` pragmas actually consumed against
+    the set declared in the sources.
     """
-    from repro.analysis import contracts
     from repro.analysis import lint
 
     declared: set[tuple[str, int, str]] = set()
-    known_rules = set(lint.ALL_RULES) | set(contracts.PASS_CATALOGUE)
     files = lint._python_files(paths)
     for file in files:
         source = file.read_text(encoding="utf-8")
@@ -269,13 +91,9 @@ def audit_pragmas(paths: Sequence[str]) -> list[StalePragma]:
         _, suppressed = lint.lint_file_tracked(str(file))
         for v in suppressed:
             used.add((v.path, v.line, v.rule))
-    manifest = contracts.DEFAULT_MANIFEST if Path(contracts.DEFAULT_MANIFEST).exists() else None
-    report = contracts.analyze_paths(paths, manifest_path=manifest)
-    for v in report.suppressed:
-        used.add((v.path, v.line, v.rule))
 
     stale = []
     for path, line, rule in sorted(declared - used):
-        reason = "unused" if rule in known_rules else "unknown rule"
+        reason = "unused" if rule in lint.ALL_RULES else "unknown rule"
         stale.append(StalePragma(path=path, line=line, rule=rule, reason=reason))
     return stale

@@ -202,7 +202,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # Exit 1 means digest drift: a bad input must not read as one.
+    from repro.routing import check_policy_spec
+
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        parser.error(f"argument --policies: names no policy, got {args.policies!r}")
+    for policy in policies:
+        try:
+            check_policy_spec(policy)
+        except ValueError as exc:
+            parser.error(f"argument --policies: {exc}")
     baseline = load_baseline(args.baseline)
     results = check_digests(policies, baseline)
     digest_ok = all(r["ok"] for r in results.values())

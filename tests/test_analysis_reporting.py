@@ -1,4 +1,4 @@
-"""Tests for the shared reporting stack: formats, baselines, pragma audit."""
+"""Tests for the lint reporting: output formats and the pragma audit."""
 
 import json
 import subprocess
@@ -6,14 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import ALL_RULES, Violation, lint_source_tracked
-from repro.analysis.reporting import (
-    Baseline,
-    audit_pragmas,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.lint import Violation, lint_source_tracked
+from repro.analysis.reporting import audit_pragmas, render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,78 +29,6 @@ def test_render_json_roundtrips():
     data = json.loads(render_json([v()], files_checked=2))
     assert data["files_checked"] == 2
     assert data["violations"][0]["rule"] == "no-wall-clock"
-
-
-def test_render_sarif_schema_rules_and_location():
-    catalogue = {name: rule.summary for name, rule in ALL_RULES.items()}
-    document = json.loads(render_sarif([v()], catalogue))
-    assert document["version"] == "2.1.0"
-    run = document["runs"][0]
-    assert {r["id"] for r in run["tool"]["driver"]["rules"]} == set(catalogue)
-    result = run["results"][0]
-    assert result["ruleId"] == "no-wall-clock"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region == {"startLine": 3, "startColumn": 5}  # SARIF is 1-based
-
-
-def test_render_sarif_zero_line_clamps_to_one():
-    catalogue = {"no-wall-clock": "summary"}
-    document = json.loads(render_sarif([v(line=0, col=0)], catalogue))
-    region = document["runs"][0]["results"][0]["locations"][0]["physicalLocation"][
-        "region"
-    ]
-    assert region["startLine"] == 1
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_and_absorption(tmp_path):
-    target = tmp_path / "base.json"
-    Baseline.from_violations([v(), v(line=9)]).save(target)
-    loaded = Baseline.load(target)
-    # Same fingerprint (line excluded) twice: both absorbed.
-    delta = loaded.compare([v(line=3), v(line=100)])
-    assert delta.new == []
-    assert delta.suppressed == 2
-    assert delta.stale == []
-
-
-def test_baseline_line_churn_does_not_break_ratchet(tmp_path):
-    baseline = Baseline.from_violations([v(line=3)])
-    delta = baseline.compare([v(line=300)])
-    assert delta.new == []
-
-
-def test_baseline_excess_findings_fail():
-    baseline = Baseline.from_violations([v()])
-    delta = baseline.compare([v(), v(line=50)])
-    assert len(delta.new) == 1
-    assert delta.suppressed == 1
-
-
-def test_baseline_new_rule_fails():
-    baseline = Baseline.from_violations([v()])
-    delta = baseline.compare([v(), v(rule="no-float-eq")])
-    assert [x.rule for x in delta.new] == ["no-float-eq"]
-
-
-def test_baseline_paid_down_debt_reported_stale():
-    baseline = Baseline.from_violations([v(), v(rule="no-float-eq")])
-    delta = baseline.compare([v()])
-    assert delta.new == []
-    assert [entry["rule"] for entry in delta.stale] == ["no-float-eq"]
-
-
-def test_baseline_version_guard(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"version": 99, "entries": []}')
-    try:
-        Baseline.load(bad)
-    except ValueError as exc:
-        assert "version" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
 
 
 # ----------------------------------------------------------------------
@@ -178,29 +100,12 @@ def test_audit_reports_unused_and_unknown_pragmas(tmp_path):
     ]
 
 
-def test_audit_counts_contract_suppressions_as_used(tmp_path):
-    root = write_tree(
-        tmp_path,
-        {
-            "m.py": """
-                class Packet:
-                    __slots__ = ("src",)
-
-                    def __init__(self, src):
-                        self.src = src
-                        self.tag = 1  # repro: allow(slots-consistency)
-                """,
-        },
-    )
-    assert audit_pragmas([str(root)]) == []
-
-
 def test_repo_tree_has_no_stale_pragmas():
     assert audit_pragmas([str(REPO_ROOT / "src")]) == []
 
 
 # ----------------------------------------------------------------------
-# Lint CLI: --format / --baseline / --prune-pragmas
+# Lint CLI: --format / --prune-pragmas
 # ----------------------------------------------------------------------
 def run_lint_cli(args, cwd):
     env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
@@ -213,32 +118,11 @@ def run_lint_cli(args, cwd):
     )
 
 
-def test_lint_cli_sarif_format(tmp_path):
-    root = write_tree(tmp_path, {"m.py": "import time\nt = time.time()\n"})
-    proc = run_lint_cli([str(root), "--format", "sarif"], cwd=tmp_path)
-    assert proc.returncode == 1
-    document = json.loads(proc.stdout)
-    hits = {r["ruleId"] for r in document["runs"][0]["results"]}
-    assert "no-wall-clock" in hits
-
-
 def test_lint_cli_json_alias_still_works(tmp_path):
     root = write_tree(tmp_path, {"m.py": "x = 1\n"})
     proc = run_lint_cli([str(root), "--json"], cwd=tmp_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["violations"] == []
-
-
-def test_lint_cli_baseline_flow(tmp_path):
-    root = write_tree(tmp_path, {"m.py": "import time\nt = time.time()\n"})
-    baseline = tmp_path / "base.json"
-    update = run_lint_cli(
-        [str(root), "--baseline", str(baseline), "--update-baseline"], cwd=tmp_path
-    )
-    assert update.returncode == 0
-    absorbed = run_lint_cli([str(root), "--baseline", str(baseline)], cwd=tmp_path)
-    assert absorbed.returncode == 0, absorbed.stdout
-    assert "absorbed by baseline" in absorbed.stdout
 
 
 def test_lint_cli_prune_pragmas_exit_codes(tmp_path):

@@ -15,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.replay import EventTraceDigest, check_determinism, run_scenario
+from repro.analysis.replay import main as replay_main
 from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME, EventView
 from repro.topology import make_topology
 
@@ -61,6 +64,22 @@ def test_replay_cli_reports_deterministic():
     assert payload["deterministic"] is True
     assert len(payload["runs"]) == 2
     assert payload["runs"][0]["events"] == payload["runs"][1]["events"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--policy", "nosuch"), "--policy"),
+    (("--policy", "drb:nokey=1"), "--policy"),
+    (("--mesh-side", "1"), "--mesh-side"),
+    (("--seed", "-1"), "--seed"),
+])
+def test_replay_cli_bad_input_is_a_usage_error(argv, flag, capsys):
+    """Exit 1 means NON-DETERMINISTIC; a typo exits 2 before any run."""
+    with pytest.raises(SystemExit) as exit_info:
+        replay_main(list(argv))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

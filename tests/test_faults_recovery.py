@@ -59,6 +59,10 @@ def test_sequence_numbers_assigned_per_flow():
     assert fabric.data_packets_delivered == 3
     assert transport.pending == 0  # ACKs settled everything
     assert transport.retransmissions == 0
+    # No digest hashes the transport's counters: pin their key set here.
+    assert set(transport.stats()) == {
+        "logical_packets", "retransmissions", "recovered", "abandoned", "pending",
+    }
 
 
 def test_nack_retransmission_burns_retries_on_permanent_fault():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.replay import run_scenario
+from repro.analysis.replay import build, finish, run_scenario
+from repro.faults.campaign import FaultCampaignSpec
 from repro.obs import (
     JsonlSink,
     MemorySink,
@@ -11,8 +12,19 @@ from repro.obs import (
     read_trace,
 )
 from repro.obs.cli import diff_traces
+from repro.perf import DEFAULT_POLICIES, pinned_dragonfly_spec
 
 ALL_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
+
+#: every registered policy on the dragonfly hot-spot, and the fault
+#: campaign (link flaps, ACK loss, retransmission) for four of them.
+OBSERVED_SPECS = [
+    pytest.param(pinned_dragonfly_spec(p, seed=0, repetitions=2), id=f"dragonfly-{p}")
+    for p in DEFAULT_POLICIES
+] + [
+    pytest.param(FaultCampaignSpec(seed=0).scenario(p), id=f"faulted-{p}")
+    for p in ("drb", "pr-drb", "fr-drb", "notified-adaptive")
+]
 
 
 def traced_run(policy, tmp_path=None, metrics=None, cadence=None, seed=0):
@@ -41,6 +53,31 @@ class TestNonPerturbation:
         assert traced.events == bare.events
         assert traced.metrics == bare.metrics
         assert traced.events_executed == bare.events_executed
+
+    @pytest.mark.parametrize("spec", OBSERVED_SPECS)
+    def test_every_policy_and_faulted_run_identical_when_observed(self, spec):
+        """A write from an ``if tracer is not None`` branch, a metrics
+        provider or ``instrument`` that changes one of these runs shows
+        up as a digest or transport counter that differs between the
+        bare and the observed run."""
+
+        def run(**observers):
+            scenario = build(spec, digest=True, **observers)
+            scenario.sim.run(until=scenario.until)
+            transport = scenario.transport
+            return finish(scenario), None if transport is None else transport.stats()
+
+        bare, bare_transport = run()
+        sink = MemorySink()
+        traced, traced_transport = run(
+            tracer=Tracer(sinks=[sink]), metrics=MetricsRegistry(), metrics_cadence_s=5e-5
+        )
+        assert traced.events == bare.events
+        assert traced.metrics == bare.metrics
+        assert traced.events_executed == bare.events_executed
+        assert traced_transport == bare_transport
+        if spec.faults is not None:
+            assert any(r.name == "retx.send" for r in sink.records)
 
 
 class TestTraceDeterminism:

@@ -107,6 +107,17 @@ def test_cli_writes_no_report_without_out(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("policies", ["nosuch", "drb:nokey=1", ",", "drb,nosuch"])
+def test_cli_bad_policies_are_a_usage_error(policies, capsys):
+    """Exit 1 is digest drift; a typo exits 2 before any policy runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--policies", policies])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --policies:" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_digest_mismatch_exits_nonzero(tmp_path, baseline):
     bad = copy.deepcopy(baseline)
     bad["digests"]["deterministic"]["metrics"] = "f" * 64
