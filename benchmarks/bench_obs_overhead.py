@@ -1,14 +1,16 @@
 """Benchmark: observability overhead on the pinned hot-spot workload.
 
-Measures the same :mod:`repro.perf` pinned workload four ways — tracing
+Measures the same :mod:`repro.perf` pinned workload five ways — tracing
 off, tracing into a memory-backed :class:`~repro.obs.Tracer`, tracing
-plus a cadence-snapshotting :class:`~repro.obs.MetricsRegistry`, and
-``served`` (tracer + metrics whose snapshots publish into a live
-:class:`~repro.obs.MetricsBus` with one draining SSE-style subscriber —
-the full ``repro.serve`` telemetry plane) — and records the event-rate
-cost of each into ``BENCH_obs.json`` at the repo root.  Rates are the
-host-normalised medians of :mod:`timing`, with the four modes
-interleaved inside every repeat.  The ``served``
+plus a cadence-snapshotting :class:`~repro.obs.MetricsRegistry`, the
+same with the tracer writing a :class:`~repro.obs.JsonlSink` file (what
+a ``--trace`` user pays; the file is removed after each run, outside
+the timed region), and ``served`` (tracer + metrics whose snapshots
+publish into a live :class:`~repro.obs.MetricsBus` with one draining
+SSE-style subscriber — the full ``repro.serve`` telemetry plane) — and
+records the event-rate cost of each into ``BENCH_obs.json`` at the repo
+root.  Rates are the host-normalised medians of :mod:`timing`, with the
+five modes interleaved inside every repeat.  The ``served``
 leg must cost < 10 % over ``traced+metrics``: bus publication is one
 lock-bookkeeping hop plus a non-blocking queue offer per snapshot.
 Before timing anything it asserts the PR's two invariants:
@@ -27,20 +29,25 @@ Standalone:
 from __future__ import annotations
 
 import argparse
+import os
+import tempfile
 import threading
 from contextlib import contextmanager, nullcontext
 
 from repro.analysis.replay import build, run_scenario
-from repro.obs import MemorySink, MetricsBus, MetricsRegistry, Tracer
+from repro.obs import JsonlSink, MemorySink, MetricsBus, MetricsRegistry, Tracer
 from repro.perf import check_digests, load_baseline, pinned_hotspot_spec, run_pinned_workload
 from timing import Timing, measure, pin_to_one_cpu, write_report
 
-#: mode -> factory of the observers ``build`` attaches in that mode.
+#: mode -> factory of the observers ``build`` attaches in that mode,
+#: given the path a JSONL trace may be written to.
 MODES = {
-    "off": dict,
-    "traced": lambda: {"tracer": Tracer(sinks=[MemorySink()])},
-    "traced+metrics": lambda: {"tracer": Tracer(sinks=[MemorySink()]),
-                               "metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},
+    "off": lambda _path: {},
+    "traced": lambda _path: {"tracer": Tracer(sinks=[MemorySink()])},
+    "traced+metrics": lambda _path: {"tracer": Tracer(sinks=[MemorySink()]),
+                                     "metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},
+    "traced+jsonl+metrics": lambda path: {"tracer": Tracer(sinks=[JsonlSink(path)]),
+                                          "metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},
 }
 MODES["served"] = MODES["traced+metrics"]
 
@@ -86,14 +93,19 @@ def rate_modes(policy: str, events: int, repeats: int) -> dict[str, Timing]:
     """Time every mode ``repeats`` times, the modes interleaved inside
     each repeat so a slow phase of the host hits every mode alike."""
     timings = {mode: Timing() for mode in MODES}
-    for _ in range(repeats):
-        for mode, observers in MODES.items():
-            kwargs = observers()
-            with served(kwargs["metrics"]) if mode == "served" else nullcontext():
-                timings[mode] += measure(
-                    lambda: build(pinned_hotspot_spec(policy), **kwargs),
-                    repeats=1, max_events=events,
-                )
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "trace.jsonl")
+        for _ in range(repeats):
+            for mode, observers in MODES.items():
+                kwargs = observers(path)
+                with served(kwargs["metrics"]) if mode == "served" else nullcontext():
+                    timings[mode] += measure(
+                        lambda: build(pinned_hotspot_spec(policy), **kwargs),
+                        repeats=1, max_events=events,
+                    )
+                if mode == "traced+jsonl+metrics":
+                    kwargs["tracer"].close()
+                    os.remove(path)
     return timings
 
 
@@ -152,7 +164,7 @@ def main(argv=None) -> int:
         extra = (
             f"  ({overhead[mode]:+.1%} vs off)" if mode in overhead else ""
         )
-        print(f"{mode:16s} {rate:12,.0f} events/sec{extra}")
+        print(f"{mode:20s} {rate:12,.0f} events/sec{extra}")
     print(f"wrote {args.out}")
     return 0
 

@@ -8,7 +8,9 @@ enforces the acceptance gates:
 * PR-DRB's delivered-under-fault ratio is at least deterministic's;
 * MTTR is finite (the transient faults were actually repaired).
 
-Exit 0 iff all gates hold — usable directly as a CI step.
+Exit 0 iff all gates hold — usable directly as a CI step.  A bad
+argument (an unknown or malformed ``--policies`` entry, a value no
+campaign could use) exits 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
+    # Exit 1 means a failed gate: a bad input must not read as one.
+    from repro.routing import check_policy_spec
+
+    for policy in args.policies:
+        try:
+            check_policy_spec(policy)
+        except ValueError as exc:
+            parser.error(f"argument --policies: {exc}")
     try:
         spec = FaultCampaignSpec(
             seed=args.seed,

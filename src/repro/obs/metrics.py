@@ -219,17 +219,22 @@ class CountingSink:
 
     def __init__(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
+        #: event name -> its ``trace.<name>`` counter in ``metrics``.
+        self._counters: dict[str, Counter] = {}
 
     def write(self, record: TraceRecord) -> None:
-        self.metrics.counter(f"trace.{record.name}").inc()
-        args = record.args
+        _ts, name, _track, _ph, _dur, args = record
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.metrics.counter(f"trace.{name}")
+        counter.value += 1
         if args is None:
             return
-        if record.name == "packet.deliver":
+        if name == "packet.deliver":
             latency = args.get("latency_s")
             if latency is not None:
                 self.metrics.histogram("packet.latency_s").observe(latency)
-        elif record.name == "router.contention":
+        elif name == "router.contention":
             wait = args.get("wait_s")
             if wait is not None:
                 self.metrics.histogram("router.wait_s").observe(wait)

@@ -29,6 +29,8 @@ consults wall clocks or ambient RNG, and the JSONL encoding is canonical
 trace files — the property ``python -m repro.obs diff`` and the
 determinism tests check.  The one intentionally variable field lives in
 the *header* line (its ``label``), which diff/compare logic exempts.
+``JsonlSink`` writes each line from a template cached per record shape
+and writes exactly the bytes of ``_encode(record.to_json_obj())``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 import reprlib
 import sys
 from collections import deque
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, NamedTuple, Optional
 
 #: bump when the record encoding changes shape.
@@ -97,6 +100,10 @@ def _encode(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: builds a record without ``TraceRecord.__new__``'s keyword handling.
+_new_record = tuple.__new__
+
+
 class Tracer:
     """Flight recorder: bounded ring buffer plus streaming sinks.
 
@@ -106,15 +113,23 @@ class Tracer:
     when the in-memory ring has wrapped.
     """
 
-    __slots__ = ("records", "emitted", "dropped", "_sinks")
+    __slots__ = ("records", "emitted", "_sinks", "_writes")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, sinks=()) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.records: deque[TraceRecord] = deque(maxlen=capacity)
         self.emitted = 0
-        self.dropped = 0
-        self._sinks = list(sinks)
+        self._sinks: list = []
+        #: every sink's bound ``write``, rebuilt by ``add_sink``.
+        self._writes: tuple = ()
+        for sink in sinks:
+            self.add_sink(sink)
+
+    @property
+    def dropped(self) -> int:
+        """Records evicted from the ring (every sink still saw them)."""
+        return self.emitted - len(self.records)
 
     # ------------------------------------------------------------------
     def emit(
@@ -128,18 +143,17 @@ class Tracer:
     ) -> None:
         """Record one event.  Hot-layer call sites guard with a single
         ``if tracer is not None`` so the disabled cost is one branch."""
-        record = TraceRecord(ts, name, track, ph, dur, args)
-        records = self.records
-        if len(records) == records.maxlen:
-            self.dropped += 1
-        records.append(record)
+        record = _new_record(TraceRecord, (ts, name, track, ph, dur, args))
+        self.records.append(record)
         self.emitted += 1
-        for sink in self._sinks:
-            sink.write(record)
+        for write in self._writes:
+            write(record)
 
     # ------------------------------------------------------------------
     def add_sink(self, sink) -> None:
+        """Forward every later record to ``sink.write`` as well."""
         self._sinks.append(sink)
+        self._writes = tuple(sink.write for sink in self._sinks)
 
     def close(self) -> None:
         """Close every sink that supports closing (idempotent)."""
@@ -171,12 +185,80 @@ class MemorySink:
         self.records.append(record)
 
 
+#: the JSON text of a ``bool``, as ``json.dumps`` writes it.
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+
+def _literal(text: str) -> str:
+    """``text`` as literal ``str.format`` template text."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _line_template(name, ph, kind, keys, types) -> Optional[tuple]:
+    """``(fill, conversions)`` writing one record shape's JSONL line.
+
+    The line is filled from ``values = (*args.values(), dur, ident, ts)``
+    (``keys`` is ``tuple(args)``, or ``None`` when the record has no
+    args; ``types`` the exact type of each value).  An ``int`` or a
+    ``float`` field formats as its ``repr``, which is what ``json.dumps``
+    writes for a finite one; each ``(index, convert)`` in ``conversions``
+    turns a ``str`` or ``bool`` value into its JSON text, passed after
+    ``values``; ``None`` is written into the template.  Returns ``None``
+    when the name, ``ph``, track kind or an args key is not exactly a
+    ``str``, or a value is not exactly one of those five types: such
+    records are encoded by ``_encode``.
+    """
+    count = 0 if keys is None else len(keys)
+    conversions: list = []
+
+    def field(index: int) -> str:
+        kind_of = types[index]
+        if kind_of is int or kind_of is float:
+            return "{%d}" % index
+        if kind_of is type(None):
+            return "null"
+        if kind_of is str:
+            conversions.append((index, _quote))
+        elif kind_of is bool:
+            conversions.append((index, _BOOL_TEXT))
+        else:
+            raise LookupError(kind_of)
+        return "{%d}" % (len(types) + len(conversions) - 1)
+
+    texts = [name, ph, kind] if keys is None else [name, ph, kind, *keys]
+    if any(type(text) is not str for text in texts):
+        return None
+    parts = []
+    try:
+        if keys is not None:
+            order = sorted(range(count), key=keys.__getitem__)
+            parts.append('"args":{{' + ",".join(
+                _literal(_quote(keys[i]) + ":") + field(i) for i in order
+            ) + "}}")
+        if ph == "X":
+            parts.append('"dur":' + field(count))
+        parts.append(_literal('"name":' + _quote(name)))
+        parts.append(_literal('"ph":' + _quote(ph)))
+        parts.append(_literal('"track":[' + _quote(kind) + ",") + field(count + 1) + "]")
+        parts.append('"ts":' + field(count + 2))
+    except LookupError:
+        return None
+    return ("{{" + ",".join(parts) + "}}\n").format, tuple(conversions)
+
+
 class JsonlSink:
     """Streams records to a JSONL file, one canonical JSON object per line.
 
     The first line is a header object (``type/version/label``); every
     following line is a record.  ``label`` is the one field allowed to
     vary between otherwise identical runs — comparisons exempt the header.
+
+    A line is the exact text of ``_encode(record.to_json_obj())``, written
+    from a template cached per shape: event name, ``ph``, track kind,
+    args keys in insertion order and the exact type of every value.  A
+    record with a value the templates do not cover (a non-finite float,
+    a list or dict, an ``IntEnum``, a non-``str`` key) is encoded by
+    ``_encode``.
     """
 
     def __init__(self, path, label: str = "") -> None:
@@ -186,8 +268,46 @@ class JsonlSink:
             _encode({"label": label, "type": "header", "version": TRACE_VERSION})
             + "\n"
         )
+        #: record shape -> ``_line_template(...)`` (``None``: ``_encode``).
+        self._templates: dict = {}
 
     def write(self, record: TraceRecord) -> None:
+        ts, name, track, ph, dur, args = record
+        templates = self._templates
+        try:
+            kind, ident = track
+            # A shape has 7 members without args and 6 + 2k with k args
+            # keys, so ``args=None`` and ``args={}`` never share one.
+            if args is None:
+                values = (dur, ident, ts)
+                shape = (name, ph, kind, None, *map(type, values))
+            elif type(args) is dict:
+                values = (*args.values(), dur, ident, ts)
+                shape = (name, ph, kind, *args, *map(type, values))
+            else:  # another mapping: only _encode knows what json makes of it
+                raise TypeError(type(args).__name__)
+            template = templates[shape]
+        except KeyError:
+            template = templates[shape] = _line_template(
+                name, ph, kind, None if args is None else tuple(args),
+                tuple(map(type, values)),
+            )
+        except (TypeError, ValueError):  # not a (kind, ident) pair; unhashable
+            template = None
+        if template is not None:
+            fill, conversions = template
+            if len(conversions) == 1:  # the usual case: one string
+                ((index, convert),) = conversions
+                line = fill(*values, convert(values[index]))
+            else:
+                line = fill(*values, *[
+                    convert(values[index]) for index, convert in conversions
+                ])
+            # A non-finite float formats as nan or inf where JSON has NaN
+            # or Infinity; a string holding either only costs _encode.
+            if "nan" not in line and "inf" not in line:
+                self._fh.write(line)
+                return
         self._fh.write(_encode(record.to_json_obj()) + "\n")
 
     def close(self) -> None:

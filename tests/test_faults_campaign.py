@@ -109,6 +109,8 @@ def test_cli_smoke_passes_gates(capsys):
     (["--ack-loss", "2"], "ack_loss"),
     (["--mesh-side", "1"], "mesh_side"),
     (["--seed", "-5"], "seed"),
+    (["--policies", "nosuch"], "nosuch"),
+    (["--policies", "drb", "pr-drb:foo"], "foo"),
 ])
 def test_cli_refuses_bad_values_naming_the_field(argv, field, capsys):
     with pytest.raises(SystemExit) as exit_info:

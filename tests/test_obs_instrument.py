@@ -12,7 +12,8 @@ from repro.obs import (
     read_trace,
 )
 from repro.obs.cli import diff_traces
-from repro.perf import DEFAULT_POLICIES, pinned_dragonfly_spec
+from repro.obs.tracer import _encode
+from repro.perf import DEFAULT_POLICIES, pinned_dragonfly_spec, pinned_hotspot_spec
 
 ALL_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
@@ -101,6 +102,48 @@ class TestTraceDeterminism:
         traced_run("pr-drb", tmp_path=path_a, seed=0)
         traced_run("pr-drb", tmp_path=path_b, seed=1)
         assert diff_traces(path_a, path_b) != []
+
+
+#: traced runs whose every JSONL line is checked against the reference
+#: encoding, with the categories each must emit: PR-DRB on the pinned
+#: mesh:8 hot-spot, notified-adaptive on the dragonfly under router
+#: notification, and one fault-campaign cell (whose ``fault.*`` records
+#: carry a list value).
+ENCODED_RUNS = [
+    pytest.param(pinned_hotspot_spec("pr-drb", repetitions=3), 30_000,
+                 {"zone", "msp", "prediction", "congestion"}, id="mesh8-pr-drb"),
+    pytest.param(pinned_dragonfly_spec("notified-adaptive"), None,
+                 {"packet", "notify", "router", "zone"}, id="dragonfly-notified-adaptive"),
+    pytest.param(FaultCampaignSpec(seed=0).scenario("pr-drb"), None,
+                 {"fault", "retx"}, id="fault-cell-pr-drb"),
+]
+
+
+class TestTracedRunRecords:
+    @pytest.mark.parametrize("spec, max_events, categories", ENCODED_RUNS)
+    def test_every_line_is_the_reference_encoding(
+        self, spec, max_events, categories, tmp_path
+    ):
+        path = tmp_path / "run.jsonl"
+        memory = MemorySink()
+        tracer = Tracer(sinks=[memory, JsonlSink(path)])
+        scenario = build(spec, tracer=tracer, metrics=MetricsRegistry(),
+                         metrics_cadence_s=1e-4)
+        scenario.sim.run(until=scenario.until, max_events=max_events)
+        tracer.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        assert lines == [_encode(r.to_json_obj()) + "\n" for r in memory.records]
+        assert categories <= {r.category for r in memory.records}
+
+    def test_counting_sink_counts_equal_the_ring_counts(self):
+        metrics = MetricsRegistry()
+        _, tracer = traced_run("pr-drb", metrics=metrics)
+        assert tracer.emitted > 0 and tracer.dropped == 0
+        counters = metrics.to_dict()["counters"]
+        assert {
+            name.removeprefix("trace."): value
+            for name, value in counters.items() if name.startswith("trace.")
+        } == tracer.counts()
 
 
 class TestEventCoverage:

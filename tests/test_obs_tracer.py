@@ -1,8 +1,10 @@
 """Tracer core: records, ring buffer, sinks, JSONL and Perfetto export."""
 
+import enum
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.obs import (
     TRACE_VERSION,
@@ -15,6 +17,7 @@ from repro.obs import (
     to_perfetto,
     write_perfetto,
 )
+from repro.obs.tracer import _encode
 
 
 class TestTraceRecord:
@@ -67,6 +70,26 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(capacity=0)
 
+    def test_sink_added_later_sees_every_later_record(self):
+        first = MemorySink()
+        tracer = Tracer(sinks=[first])
+        tracer.emit(0.0, "packet.inject", ("flow", "0-1"))
+        late = MemorySink()
+        tracer.add_sink(late)
+        for i in range(1, 4):
+            tracer.emit(float(i), "packet.deliver", ("flow", "0-1"))
+        assert [r.ts for r in first.records] == [0.0, 1.0, 2.0, 3.0]
+        assert [r.ts for r in late.records] == [1.0, 2.0, 3.0]
+        assert late.records == first.records[1:]
+
+    def test_dropped_is_zero_until_the_ring_wraps(self):
+        tracer = Tracer(capacity=4)
+        for i in range(10):
+            tracer.emit(float(i), "packet.inject", ("flow", "0-1"))
+            assert tracer.dropped == max(0, tracer.emitted - 4)
+        assert tracer.dropped == 6
+        assert len(tracer.records) == 4
+
 
 class TestJsonl:
     def test_header_then_records_round_trip(self, tmp_path):
@@ -94,6 +117,84 @@ class TestJsonl:
             '{"args":{"from":"L","to":"H"},"name":"zone.transition",'
             '"ph":"i","track":["flow","0-1"],"ts":0.5}'
         )
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 2
+
+
+#: names, keys and strings: the shapes real call sites repeat, plus text
+#: JSON must escape and text a ``str.format`` template must not read as
+#: a field.
+_TEXT = st.sampled_from(
+    ["flow", "packet.inject", "a", "b", "\u00e9t\u00e9", "\u6d41", 'qu"ote',
+     "back\\slash", "ctl\x01\x1f\x7f", "new\nline", "{0}", "}{", "%s", "nan", "-inf"]
+) | st.text(max_size=6)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.floats(),  # NaN, -0.0 and both infinities included
+    st.just(-0.0),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(Level),
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(
+    _TEXT, _SCALARS, max_size=3
+)
+_ARGS = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(_TEXT, _VALUES, max_size=5),
+    st.dictionaries(st.integers(), _SCALARS, min_size=1, max_size=3),
+)
+_RECORDS = st.builds(
+    TraceRecord,
+    ts=st.floats() | st.integers(),
+    name=_TEXT,
+    track=st.tuples(_TEXT, _TEXT | st.integers()),
+    ph=st.sampled_from(["i", "X", "C"]) | _TEXT,
+    dur=st.floats() | st.integers(),
+    args=_ARGS,
+)
+_SAME_SHAPE = [
+    TraceRecord(0.5, "packet.inject", ("flow", "0-1"), args=None),
+    TraceRecord(0.5, "packet.inject", ("flow", "0-1"), args={}),
+]
+
+
+class TestJsonlEncoding:
+    """``JsonlSink`` writes, line for line, ``_encode(to_json_obj())``."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=st.lists(_RECORDS, min_size=1, max_size=8))
+    @example(records=_SAME_SHAPE)
+    @example(records=_SAME_SHAPE[::-1])
+    @example(records=[
+        TraceRecord(1e-6, "congestion.episode", ("flow", "0-5"), ph="X",
+                    dur=2.5e-6, args={"active": 3}),
+        TraceRecord(2e-6, "congestion.episode", ("flow", "0-5"), ph="X",
+                    dur=float("inf"), args={"active": 3}),
+        TraceRecord(3e-6, "congestion.episode", ("flow", "0-5"), ph="X",
+                    dur=1e-6, args={"active": Level.HIGH}),
+        *[TraceRecord(-0.0, "router.contention", ("router", 7), args={
+            "wait_s": wait, "big": 2**100, "handled": True, "port": None,
+            "note": 'é"\\\n',
+        }) for wait in (-0.0, float("nan"), float("-inf"), 1e-6)],
+        TraceRecord(1.0, "fault.fail", ("fabric", 0),
+                    args={"link": [0, 1], "by": {"b": 1, "a": "x"}}),
+    ])
+    def test_lines_equal_the_reference_encoding(self, records, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "encoding.jsonl"
+        sink = JsonlSink(path)
+        for record in records:
+            sink.write(record)
+        sink.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        assert lines == [_encode(r.to_json_obj()) + "\n" for r in records]
 
 
 class TestReadTrace:
