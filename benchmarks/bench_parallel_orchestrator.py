@@ -1,10 +1,11 @@
 """Benchmark: parallel sweep orchestrator vs serial execution.
 
 Runs the paper's 8x8-mesh hot-spot sweep (4 policies x 8 seeds = 32
-cells) three ways — serial (inline), N-worker process pool, and a second
-pool pass answered entirely from the result cache — asserts per-cell
-bit-identity across all three, and writes the measurements to
-``BENCH_parallel.json`` at the repo root.
+cells) plus 4 application-trace cells (the digest gate's pinned POP
+cell, 2 policies x 2 seeds) three ways — serial (inline), N-worker
+process pool, and a second pool pass answered entirely from the result
+cache — asserts per-cell bit-identity across all three, and writes the
+measurements to ``BENCH_parallel.json`` at the repo root.
 
 The >= 2x speedup assertion only applies on machines with >= 4 physical
 cores (CI runners); on smaller boxes the numbers are still recorded,
@@ -36,10 +37,14 @@ from repro.experiments.config import (
 )
 from repro.parallel import SimTask, SweepConfig, run_sweep
 from repro.parallel.tasks import canonical_json
+from repro.perf import pinned_app_spec
 from timing import write_report
 
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 REPETITIONS = 3
+#: the application-trace cells: two policies x two seeds.
+APP_POLICIES = ("drb", "pr-drb")
+APP_SEEDS = 2
 
 
 def hotspot_task(policy: str, seed: int) -> SimTask:
@@ -50,6 +55,12 @@ def hotspot_task(policy: str, seed: int) -> SimTask:
         repetitions=REPETITIONS, noise_rate_bps=HOTSPOT_NOISE_MBPS * 1e6,
         idle_rate_bps=HOTSPOT_IDLE_MBPS * 1e6, notification="router", drain_s=8e-4,
     ))
+    return SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
+
+
+def app_task(policy: str, seed: int) -> SimTask:
+    """One (policy, seed) cell of POP on fattree:4,2 (:func:`repro.perf.pinned_app_spec`)."""
+    kind, params = cell_params(pinned_app_spec(policy, seed))
     return SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")
 
 
@@ -64,6 +75,7 @@ def run_bench(policies=DEFAULT_POLICIES, n_seeds=8, workers=None, out="BENCH_par
     workers = workers or max(2, min(4, cpu_count))
     oversubscribed = workers > cpu_count
     tasks = [hotspot_task(p, s) for p in policies for s in range(n_seeds)]
+    tasks += [app_task(p, s) for p in APP_POLICIES for s in range(APP_SEEDS)]
     version = "bench-parallel-v1"  # pinned: measurement, not invalidation
 
     serial = run_sweep(tasks, SweepConfig(workers=1, code_version=version))
@@ -129,6 +141,10 @@ def run_bench(policies=DEFAULT_POLICIES, n_seeds=8, workers=None, out="BENCH_par
             "seeds": n_seeds,
             "cells": len(tasks),
             "repetitions": REPETITIONS,
+            "app_cells": {
+                "app": "pop", "topology": "fattree:4,2", "policies": list(APP_POLICIES),
+                "seeds": APP_SEEDS,
+            },
         },
         "cpu_count": cpu_count,
         "workers": workers,

@@ -10,8 +10,8 @@ FR-DRB and predictive FR-DRB.
 Run:  python examples/pop_application.py
 """
 
-from repro.apps.pop import pop_trace
-from repro.experiments.runner import run_app_workload
+from repro.analysis.replay import app_spec
+from repro.experiments.runner import run_policies
 
 POLICIES = [
     "deterministic", "cyclic", "random",
@@ -21,14 +21,8 @@ POLICIES = [
 
 def main() -> None:
     print("Replaying POP (64 ranks, 3 time-steps) under each policy...\n")
-    runs = run_app_workload(
-        "fattree:4,3",
-        POLICIES,
-        pop_trace,
-        trace_kwargs={"num_ranks": 64, "steps": 3},
-        notification="router",
-        timeout_s=60.0,
-    )
+    spec = app_spec("pop", "pr-drb", 0, "fattree:4,3", "router", {"num_ranks": 64, "steps": 3})
+    runs = run_policies(spec, POLICIES)
     print(f"{'policy':13s} {'global latency':>15s} {'map peak':>10s} {'exec time':>11s}")
     baseline = runs["deterministic"]
     for name in POLICIES:

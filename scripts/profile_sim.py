@@ -2,12 +2,13 @@
 """Profile the simulator's hot path.
 
 The HPC-Python discipline: no optimization without measuring.  This
-script cProfiles a representative congested simulation — the same pinned
-hot-spot workload that ``benchmarks/bench_engine_throughput.py`` rates
-and whose digests ``python -m repro.perf`` checks against
-``baseline.json`` — and prints the top functions by cumulative
-and internal time, so changes to the event chain (Fabric._arrive /
-Router.forward) can be checked for regressions.  It also prints the
+script cProfiles a representative congested simulation — the pinned
+mesh:8 hot-spot workload that ``benchmarks/bench_engine_throughput.py``
+rates (``python -m repro.perf`` digests other cells: the mesh:4
+``replay_spec`` hot-spot and the pinned POP trace cell) — and prints
+the top functions by cumulative and internal time, so changes to the
+event chain (Fabric._arrive / Router.forward) can be checked for
+regressions.  It also prints the
 run's events/sec so a profile and a throughput number always come from
 the same invocation.
 

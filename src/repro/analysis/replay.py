@@ -22,6 +22,7 @@ library (:func:`check_determinism`) for gating future refactors.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import numbers
 import reprlib
@@ -34,6 +35,7 @@ from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME
 if TYPE_CHECKING:
     from repro.faults.campaign import FaultPlan
     from repro.metrics.recorder import StatsRecorder
+    from repro.mpi.trace import Trace
     from repro.network.fabric import Fabric
     from repro.routing.base import RoutingPolicy
     from repro.sim.engine import Simulator
@@ -45,7 +47,9 @@ __all__ = [
     "EventTraceDigest",
     "Scenario",
     "ScenarioSpec",
+    "APP_TIMEOUT_S",
     "CELL_FIELDS",
+    "app_spec",
     "build",
     "cell_params",
     "digest_metrics",
@@ -206,15 +210,15 @@ def digest_metrics(fabric, recorder, policy) -> str:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One seeded hot-spot or permutation scenario, as plain picklable data.
+    """One seeded scenario, as plain picklable data.
 
     The replay harness (:func:`replay_spec`), the fault campaign
     (:meth:`repro.faults.campaign.FaultCampaignSpec.scenario`), the
-    pinned throughput runs (:func:`repro.perf.pinned_hotspot_spec`,
-    :func:`repro.perf.pinned_dragonfly_spec`) and every hot-spot and
-    permutation cell of :mod:`repro.experiments.scenarios` are all values
-    of this type; :func:`build` turns one into a live :class:`Scenario`.
-    A spec carries ``flows`` or a ``pattern``, never both.
+    pinned runs of :mod:`repro.perf` and every hot-spot, permutation and
+    application-trace cell of :mod:`repro.experiments.scenarios` are all
+    values of this type; :func:`build` turns one into a live
+    :class:`Scenario`.  A spec carries ``flows``, a ``pattern`` or an
+    ``app`` (:func:`app_spec`), one at most.
     """
 
     policy: str
@@ -242,10 +246,18 @@ class ScenarioSpec:
     hosts: Optional[int] = None
     #: :attr:`repro.network.config.NetworkConfig.virtual_channels`.
     virtual_channels: int = 1
+    #: a :data:`repro.apps.APP_TRACES` name: replay its trace through
+    #: :class:`repro.mpi.runtime.TraceRuntime`, ranks on hosts ``0 ..``.
+    app: Optional[str] = None
+    #: the trace factory's keyword arguments as sorted ``(name, value)``
+    #: pairs; a factory taking a ``seed`` gets the spec's.
+    app_args: tuple = ()
+    #: record per-router latency series (F4.22-23).
+    router_series: bool = False
 
     def __post_init__(self) -> None:
-        if self.flows and self.pattern is not None:
-            raise ValueError("a spec carries 'flows' or a 'pattern', never both")
+        if (bool(self.flows) + (self.pattern is not None) + (self.app is not None)) > 1:
+            raise ValueError("a spec carries 'flows', a 'pattern' or an 'app', one at most")
 
     def burst_schedule(self) -> BurstSchedule:
         """The on/off envelope every source follows; it ends the traffic."""
@@ -273,6 +285,24 @@ def replay_spec(
         flows=((0, n - mesh_side + 1), (mesh_side, n - mesh_side + 1), (1, n - 1)),
         rate_bps=1.2e9, burst_on_s=1.5e-4, burst_off_s=1.5e-4, repetitions=repetitions,
         noise_rate_bps=3e7, idle_rate_bps=2e8, notification="router", drain_s=4e-4,
+    )
+
+
+#: the longest simulated time an application cell may take to finish.
+APP_TIMEOUT_S = 60.0
+
+
+def app_spec(
+    app: str, policy: str, seed: int, topology: str, notification: str,
+    app_args: Optional[dict] = None, router_series: bool = False,
+) -> ScenarioSpec:
+    """The application-trace cell replaying ``app``'s trace, built with
+    ``app_args``, on ``topology`` (§4.8)."""
+    return ScenarioSpec(
+        policy=policy, seed=seed, topology=topology, flows=(), rate_bps=0.0,
+        burst_on_s=0.0, burst_off_s=0.0, repetitions=1, noise_rate_bps=0.0,
+        idle_rate_bps=0.0, notification=notification, drain_s=None, app=app,
+        app_args=tuple(sorted((app_args or {}).items())), router_series=router_series,
     )
 
 
@@ -334,7 +364,8 @@ def _typed_fields(params, schema: type, what: str) -> dict:
     return params
 
 
-#: the params of a ``hotspot`` / ``pattern`` task: the spec's own fields.
+#: the params of a ``hotspot`` / ``pattern`` / ``app`` task: the spec's
+#: own fields (an app's ``app_args`` as an object).
 CELL_FIELDS = {
     "hotspot": ("policy", "seed", "topology", "flows", "rate_bps", "burst_on_s",
                 "burst_off_s", "repetitions", "noise_rate_bps", "idle_rate_bps",
@@ -342,10 +373,12 @@ CELL_FIELDS = {
     "pattern": ("policy", "seed", "topology", "pattern", "hosts", "rate_bps", "burst_on_s",
                 "burst_off_s", "repetitions", "idle_rate_bps", "notification", "drain_s",
                 "virtual_channels"),
+    "app": ("policy", "seed", "topology", "app", "app_args", "notification", "router_series"),
 }
 #: the cell fields a task may leave out, and their values then.
 _CELL_DEFAULTS = {"seed": 0, "burst_off_s": 0.0, "noise_rate_bps": 0.0, "idle_rate_bps": 0.0,
-                  "notification": "destination", "drain_s": 1e-3, "virtual_channels": 1}
+                  "notification": "destination", "drain_s": 1e-3, "virtual_channels": 1,
+                  "app_args": {}, "router_series": False}
 
 
 def _cell_spec(kind: str, params: dict) -> ScenarioSpec:
@@ -355,6 +388,12 @@ def _cell_spec(kind: str, params: dict) -> ScenarioSpec:
     if missing:
         raise ValueError(f"missing required {kind} field(s) {missing}")
     p = {**_CELL_DEFAULTS, **params}
+    if kind == "app":
+        p = _typed_fields(p, ScenarioSpec, "app params")
+        if not isinstance(p["app_args"], dict):
+            raise ValueError(f"'app_args' must be an object, got {reprlib.repr(p['app_args'])}")
+        return app_spec(_text_param(p, "app", ""), p["policy"], p["seed"], p["topology"],
+                        p["notification"], p["app_args"], p["router_series"])
     flows = p.get("flows", [])
     if not isinstance(flows, list) or not all(
         isinstance(pair, list) and len(pair) == 2
@@ -397,6 +436,9 @@ def _check_values(spec: ScenarioSpec) -> None:
     if spec.notification not in ("destination", "router"):
         raise ValueError(f"'notification' must be 'destination' or 'router', "
                          f"got {reprlib.repr(spec.notification)}")
+    if spec.app is not None:
+        _check_app(spec, topology.num_hosts)
+        return
     if spec.rate_bps <= 0 or spec.burst_on_s <= 0:
         raise ValueError("'rate_bps' and 'burst_on_s' must be > 0")
     bad = [pair for pair in spec.flows
@@ -415,17 +457,69 @@ def _check_values(spec: ScenarioSpec) -> None:
                          f"{topology.num_hosts} on {spec.topology}, got {spec.hosts}")
 
 
+def _check_app(spec: ScenarioSpec, hosts: int) -> None:
+    """Refuse an unknown app, an argument its trace factory does not take
+    (``seed`` and ``rng`` included), a value not of the argument's
+    annotated type, and arguments whose trace no run could complete: the
+    factory fails on them, the trace holds a message under one byte, or
+    its ranks are none or more than the topology's hosts."""
+    from repro.apps import APP_TRACES
+    from repro.routing.registry import spec_params
+
+    app, args = spec.app, dict(spec.app_args)
+    factory = APP_TRACES.get(app)
+    if factory is None:
+        raise ValueError(f"'app' {reprlib.repr(app)} is not one of {sorted(APP_TRACES)}")
+    takes = {name: check for name, check in (spec_params(factory) or {}).items()
+             if name != "seed"}
+    for name, value in args.items():
+        if name not in takes:
+            raise ValueError(f"'app_args': {app} takes no argument {name!r}; "
+                             f"it takes {sorted(takes)}")
+        check = takes[name]
+        if check is not None and not check[0](value):
+            raise ValueError(f"'app_args': {name!r} must be {check[1]}, "
+                             f"got {reprlib.repr(value)}")
+    off_hosts = f"'app_args': num_ranks must be from 1 to the {hosts} hosts on {spec.topology}"
+    if args.get("num_ranks", 1) > hosts:  # refused before a trace that wide is built
+        raise ValueError(f"{off_hosts}, got {args['num_ranks']}")
+    try:
+        trace = _app_trace(spec)
+    except Exception as exc:  # the factory's own refusal, whatever its type
+        raise ValueError(f"'app_args': {app} builds no trace from {args}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if not 1 <= trace.num_ranks <= hosts:
+        raise ValueError(f"{off_hosts}, got {trace.num_ranks}")
+    smallest = min((event.size_bytes for events in trace.events.values() for event in events
+                    if hasattr(event, "size_bytes")), default=1)
+    if smallest < 1:
+        raise ValueError(f"'app_args': {app} builds a {smallest}-byte message from {args}; "
+                         f"every message needs at least 1 byte")
+
+
+def _app_trace(spec: ScenarioSpec) -> "Trace":
+    """``spec.app``'s trace from its ``app_args``, and from the spec's
+    seed when the factory takes a ``seed``."""
+    from repro.apps import APP_TRACES
+
+    factory = APP_TRACES[spec.app]
+    args = dict(spec.app_args)
+    if "seed" in inspect.signature(factory).parameters:
+        args["seed"] = spec.seed
+    return factory(**args)
+
+
 def scenario_spec(kind: str, params: dict) -> ScenarioSpec:
     """Parse a task's params into its spec: the one parser for every kind.
 
     ``replay`` params are ``{"policy", "seed", "mesh_side",
     "repetitions"}``; ``fault`` params are ``{"policy", "spec": {...}}``
     with a :meth:`repro.faults.campaign.FaultCampaignSpec.to_dict` body;
-    ``hotspot`` and ``pattern`` params are the spec's own fields
+    ``hotspot``, ``pattern`` and ``app`` params are the spec's own fields
     (:data:`CELL_FIELDS`).  Missing fields take their defaults.  Unknown
     and missing required fields, mistyped values, and values no run
-    could complete (an unregistered policy, a host off the topology, a
-    negative rate) raise ``ValueError`` naming the field.
+    could complete (an unregistered policy or app, a host off the
+    topology, a negative rate) raise ``ValueError`` naming the field.
     """
     if kind in CELL_FIELDS:
         spec = _cell_spec(kind, params)
@@ -458,12 +552,14 @@ def scenario_spec(kind: str, params: dict) -> ScenarioSpec:
 
 
 def cell_params(spec: ScenarioSpec) -> tuple[str, dict]:
-    """The ``(kind, params)`` of the ``hotspot`` or ``pattern`` task that
-    :func:`scenario_spec` parses back into ``spec``."""
-    kind = "hotspot" if spec.pattern is None else "pattern"
+    """The ``(kind, params)`` of the ``hotspot``, ``pattern`` or ``app``
+    task that :func:`scenario_spec` parses back into ``spec``."""
+    kind = "app" if spec.app is not None else "hotspot" if spec.pattern is None else "pattern"
     params = {name: getattr(spec, name) for name in CELL_FIELDS[kind]}
     if kind == "hotspot":
         params["flows"] = [list(pair) for pair in spec.flows]
+    elif kind == "app":
+        params["app_args"] = dict(spec.app_args)
     return kind, params
 
 
@@ -477,7 +573,8 @@ class Scenario:
     """
 
     spec: ScenarioSpec
-    #: simulated stop time; ``None`` when the spec has no drain.
+    #: simulated stop time: the drain's end, an app's :data:`APP_TIMEOUT_S`,
+    #: or ``None`` when the spec has no drain.
     until: Optional[float]
     sim: Simulator
     trace: Optional[EventTraceDigest]
@@ -508,6 +605,8 @@ def build(
     event-trace digest :func:`finish` reads (the throughput timers leave
     it off), ``tracer``/``metrics`` install :mod:`repro.obs` and
     ``with_invariants`` installs :class:`~repro.analysis.invariants.DebugInvariants`.
+    An app spec's trace starts at time 0 and runs until its last rank
+    finishes, at most :data:`APP_TIMEOUT_S`.
     """
     from repro.api import build_network, start_pattern
     from repro.metrics.recorder import StatsRecorder
@@ -518,7 +617,9 @@ def build(
     streams = RandomStreams(spec.seed)
     net = build_network(
         spec.topology, spec.policy, NetworkConfig(virtual_channels=spec.virtual_channels),
-        spec.notification, StatsRecorder(window_s=2.5e-5), rng=streams.stream("routing"),
+        spec.notification,
+        StatsRecorder(window_s=2.5e-5, track_router_series=spec.router_series),
+        rng=streams.stream("routing"),
     )
     sim, fabric = net.sim, net.fabric
     # Building the network scheduled no event, so the digest still sees
@@ -540,29 +641,37 @@ def build(
         from repro.analysis.invariants import DebugInvariants
 
         invariants = DebugInvariants(fabric).install()
-    schedule = spec.burst_schedule()
-    stop = schedule.end_time()
     workload: object
-    if spec.pattern is not None:
-        workload = start_pattern(
-            fabric, spec.pattern, range(spec.hosts or 0), spec.rate_bps, schedule, stop,
-            streams, idle_rate_bps=spec.idle_rate_bps,
-        )
+    until: Optional[float] = APP_TIMEOUT_S
+    if spec.app is not None:
+        from repro.mpi.runtime import TraceRuntime
+
+        runtime = TraceRuntime(fabric, _app_trace(spec))
+        runtime.start()
+        workload = runtime
     else:
-        flows = [HotSpotFlow(src, dst) for src, dst in spec.flows]
-        if faults is not None and injector is not None:
-            injector.apply(*faults.models(fabric.topology, flows, schedule))
-        hotspot = HotSpotWorkload(
-            fabric, flows, rate_bps=spec.rate_bps, schedule=schedule, stop_s=stop,
-            noise_hosts=range(fabric.topology.num_hosts),
-            noise_rate_bps=spec.noise_rate_bps, rng=streams.stream("noise"),
-            idle_rate_bps=spec.idle_rate_bps,
-        )
-        hotspot.start()
-        workload = hotspot
+        schedule = spec.burst_schedule()
+        stop = schedule.end_time()
+        until = None if spec.drain_s is None else stop + spec.drain_s
+        if spec.pattern is not None:
+            workload = start_pattern(
+                fabric, spec.pattern, range(spec.hosts or 0), spec.rate_bps, schedule, stop,
+                streams, idle_rate_bps=spec.idle_rate_bps,
+            )
+        else:
+            flows = [HotSpotFlow(src, dst) for src, dst in spec.flows]
+            if faults is not None and injector is not None:
+                injector.apply(*faults.models(fabric.topology, flows, schedule))
+            hotspot = HotSpotWorkload(
+                fabric, flows, rate_bps=spec.rate_bps, schedule=schedule, stop_s=stop,
+                noise_hosts=range(fabric.topology.num_hosts),
+                noise_rate_bps=spec.noise_rate_bps, rng=streams.stream("noise"),
+                idle_rate_bps=spec.idle_rate_bps,
+            )
+            hotspot.start()
+            workload = hotspot
     return Scenario(
-        spec=spec, until=None if spec.drain_s is None else stop + spec.drain_s,
-        sim=sim, trace=trace, recorder=net.recorder,
+        spec=spec, until=until, sim=sim, trace=trace, recorder=net.recorder,
         policy_obj=net.policy, fabric=fabric, workload=workload,
         transport=transport, injector=injector, invariants=invariants,
     )

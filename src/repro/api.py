@@ -3,8 +3,8 @@
 Wraps the lower-level pieces (topology, fabric, policy, recorder, traffic)
 into two calls: :func:`build_network` and :func:`run_synthetic`.
 :func:`build_network` is the one place a simulator and a fabric are
-assembled: the scenario spine (:func:`repro.analysis.replay.build`), the
-application-trace runner and the examples all build through it, and
+assembled: the scenario spine (:func:`repro.analysis.replay.build`),
+``repro replay`` and the examples all build through it, and
 :func:`start_pattern` is the one wiring of permutation traffic.
 """
 

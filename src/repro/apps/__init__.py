@@ -10,6 +10,8 @@ structure of Table 2.2.  PR-DRB only ever sees the induced network
 traffic, so matching those observables preserves the experiment.
 """
 
+from typing import Callable
+
 from repro.apps.commmatrix import CommMatrixStats, band_fraction
 from repro.apps.phases import PhaseReport, detect_phases
 from repro.apps.nas import nas_lu_trace, nas_mg_trace, nas_ft_trace
@@ -17,6 +19,7 @@ from repro.apps.lammps import lammps_chain_trace, lammps_comb_trace
 from repro.apps.pop import pop_trace
 from repro.apps.smg2000 import smg2000_trace
 from repro.apps.sweep3d import sweep3d_trace
+from repro.mpi.trace import Trace
 
 __all__ = [
     "CommMatrixStats",
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 #: registry used by the experiment harness.
-APP_TRACES = {
+APP_TRACES: dict[str, Callable[..., Trace]] = {
     "nas-lu": nas_lu_trace,
     "nas-mg": nas_mg_trace,
     "nas-ft": nas_ft_trace,

@@ -36,6 +36,11 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(args) -> int:
     from repro.api import build_network, run_synthetic
     from repro.traffic.bursty import BurstSchedule
@@ -45,8 +50,7 @@ def _cmd_simulate(args) -> int:
             topology=args.topology, policy=args.policy, notification=args.notification
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     schedule = None
     if args.bursts:
         schedule = BurstSchedule(
@@ -81,17 +85,28 @@ def _cmd_experiment(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_analyze(args) -> int:
+def _trace(args):
+    """The trace ``args.trace`` names: an app's at ``--ranks`` ranks, or
+    a JSON trace file's."""
     from repro.apps import APP_TRACES
+    from repro.mpi.traceio import load_trace
+
+    if args.trace not in APP_TRACES:
+        return load_trace(args.trace)
+    if args.ranks < 1:
+        raise ValueError(f"--ranks must be >= 1, got {args.ranks}")
+    return APP_TRACES[args.trace](num_ranks=args.ranks)
+
+
+def _cmd_analyze(args) -> int:
     from repro.apps.commmatrix import CommMatrixStats
     from repro.apps.phases import detect_phases
     from repro.mpi.trace import call_breakdown
-    from repro.mpi.traceio import load_trace
 
-    if args.trace in APP_TRACES:
-        trace = APP_TRACES[args.trace](num_ranks=args.ranks)
-    else:
-        trace = load_trace(args.trace)
+    try:
+        trace = _trace(args)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
     print(f"trace: {trace.name} ({trace.num_ranks} ranks, {trace.total_events} events)")
     print("\nMPI call breakdown (Table 2.1 analysis):")
     for call, share in sorted(call_breakdown(trace).items(), key=lambda kv: -kv[1]):
@@ -108,30 +123,24 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.apps import APP_TRACES
-    from repro.experiments.runner import run_app_workload
-    from repro.mpi.traceio import load_trace
+    from repro.api import build_network
+    from repro.mpi.runtime import TraceRuntime
+    from repro.sim.rng import RandomStreams
 
-    if args.trace in APP_TRACES:
-        factory = APP_TRACES[args.trace]
-        kwargs = {"num_ranks": args.ranks}
-    else:
-        trace = load_trace(args.trace)
-        factory = lambda **_: trace  # noqa: E731
-        kwargs = {}
-    runs = run_app_workload(
-        "fattree:4,3",
-        [args.policy],
-        factory,
-        trace_kwargs=kwargs,
-        notification=args.notification,
-    )
-    run = runs[args.policy]
+    try:
+        trace = _trace(args)
+        fabric = build_network("fattree:4,3", args.policy, notification=args.notification,
+                               rng=RandomStreams(0).stream("routing")).fabric
+        runtime = TraceRuntime(fabric, trace)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
+    execution_time_s = runtime.run(timeout_s=30.0)
     print(f"policy: {args.policy}")
-    print(f"execution time: {run.execution_time_s * 1e3:.3f} ms")
-    print(f"global average latency: {run.global_latency_s * 1e6:.2f} us")
-    print(f"contention peak: {run.map_peak_s * 1e6:.2f} us")
-    for key, value in run.policy_stats.items():
+    print(f"execution time: {execution_time_s * 1e3:.3f} ms")
+    print(f"global average latency: {fabric.recorder.global_average_latency_s * 1e6:.2f} us")
+    peak = max(fabric.contention_map().values(), default=0.0)
+    print(f"contention peak: {peak * 1e6:.2f} us")
+    for key, value in fabric.policy.stats().items():
         print(f"{key}: {value}")
     return 0
 

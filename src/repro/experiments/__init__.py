@@ -6,13 +6,12 @@ different routing policies with matched seeds, and plain-text reporting
 of paper-claim vs measured-value rows.
 """
 
-from repro.experiments.runner import PolicyRun, run_app_workload, run_policies
+from repro.experiments.runner import PolicyRun, run_policies
 from repro.experiments.report import ExperimentResult, format_table
 from repro.experiments import scenarios
 
 __all__ = [
     "PolicyRun",
-    "run_app_workload",
     "run_policies",
     "ExperimentResult",
     "format_table",

@@ -6,26 +6,19 @@ latency (Eq. 4.2), windowed latency series, per-router contention latency,
 latency-map surfaces, execution time for trace replays, and the predictive
 policies' pattern statistics.  Multiple seeds are averaged as in §4.3.
 
-Hot-spot and permutation workloads are
-:class:`~repro.analysis.replay.ScenarioSpec` values run by
-:func:`run_policies`; application traces run through
-:func:`run_app_workload`.
+Every workload, hot-spot, permutation or application trace, is a
+:class:`~repro.analysis.replay.ScenarioSpec` run by :func:`run_policies`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.replay import ScenarioSpec, build, cell_params
-from repro.api import build_network
+from repro.analysis.replay import APP_TIMEOUT_S, ScenarioSpec, build, cell_params
 from repro.experiments.stats import ConfidenceInterval, confidence_interval
-from repro.metrics.recorder import StatsRecorder
-from repro.mpi.runtime import TraceRuntime
-from repro.network.fabric import DESTINATION_BASED
-from repro.sim.rng import RandomStreams
 
 
 @dataclass
@@ -170,34 +163,35 @@ def _average_runs(runs: list[PolicyRun]) -> PolicyRun:
     )
 
 
-def _collect(fabric, recorder, policy_name: str, execution_time_s: float) -> PolicyRun:
-    router_series = {
-        rid: series.finalize() for rid, series in recorder.router_series.items()
-    }
+def run_cell(spec: ScenarioSpec, tracer=None, metrics=None, metrics_cadence_s=None) -> PolicyRun:
+    """Build ``spec``, run it and measure it.
+
+    A hot-spot or permutation cell runs through its drain, and its
+    execution time is the end of the burst schedule.  An application
+    cell runs until its last rank finishes: that time is its execution
+    time, and a trace still running at :data:`~repro.analysis.replay.APP_TIMEOUT_S`
+    raises ``RuntimeError``.  ``tracer`` and ``metrics`` observe only
+    (:func:`repro.analysis.replay.build`).
+    """
+    scenario = build(spec, tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s)
+    if spec.app is None:
+        scenario.sim.run(until=scenario.until)
+        execution_time_s = spec.burst_schedule().end_time()
+    else:
+        execution_time_s = scenario.workload.run(timeout_s=APP_TIMEOUT_S)
+    fabric, recorder = scenario.fabric, scenario.recorder
     return PolicyRun(
-        policy_name=policy_name,
+        policy_name=spec.policy,
         global_latency_s=recorder.global_average_latency_s,
         mean_latency_s=recorder.mean_latency_s,
         p99_latency_s=recorder.latency_percentile(99),
         execution_time_s=execution_time_s,
         contention_map=fabric.contention_map(),
         latency_series=recorder.latency_series.finalize(),
-        router_series=router_series,
+        router_series={rid: series.finalize() for rid, series in recorder.router_series.items()},
         policy_stats=fabric.policy.stats(),
         accepted_ratio=fabric.accepted_ratio(),
     )
-
-
-def run_cell(spec: ScenarioSpec, tracer=None, metrics=None, metrics_cadence_s=None) -> PolicyRun:
-    """Build ``spec``, run it through its drain and measure it.
-
-    The execution time is the end of the burst schedule.  ``tracer`` and
-    ``metrics`` observe only (:func:`repro.analysis.replay.build`).
-    """
-    scenario = build(spec, tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s)
-    scenario.sim.run(until=scenario.until)
-    return _collect(scenario.fabric, scenario.recorder, spec.policy,
-                    spec.burst_schedule().end_time())
 
 
 def run_policies(
@@ -213,9 +207,10 @@ def run_policies(
     """Run ``spec`` under every policy and seed; average per policy (§4.3).
 
     Each cell is ``spec`` with its policy and seed replaced, and each
-    seed reseeds the traffic, the noise and the policy's routing draw.
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the cells
-    out as ``hotspot``/``pattern`` tasks (:func:`repro.analysis.replay.cell_params`);
+    seed reseeds the traffic (an app's trace, when its factory takes a
+    seed), the noise and the policy's routing draw.  ``executor`` (a
+    :class:`repro.parallel.SweepExecutor`) fans the cells out as
+    ``hotspot``/``pattern``/``app`` tasks (:func:`repro.analysis.replay.cell_params`);
     results are bit-identical to the inline loop.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) is wired
@@ -245,39 +240,3 @@ def run_policies(
         for index, name in enumerate(policies)
     }
 
-
-def run_app_workload(
-    topology: str,
-    policies: Sequence[str],
-    trace_factory: Callable[..., "object"],
-    trace_kwargs: Optional[dict] = None,
-    seeds: Sequence[int] = (0,),
-    notification: str = DESTINATION_BASED,
-    window_s: float = 100e-6,
-    track_routers: bool = False,
-    timeout_s: float = 30.0,
-) -> dict[str, PolicyRun]:
-    """Application-trace comparison (§4.8): latency + execution time.
-
-    ``topology`` is a :func:`repro.topology.make_topology` spec string;
-    each seed seeds the trace (when its factory takes one) and the
-    policy's routing draw.
-    """
-    results: dict[str, PolicyRun] = {}
-    trace_kwargs = dict(trace_kwargs or {})
-    for name in policies:
-        runs = []
-        for seed in seeds:
-            net = build_network(
-                topology, name, notification=notification,
-                recorder=StatsRecorder(window_s=window_s, track_router_series=track_routers),
-                rng=RandomStreams(seed).stream("routing"),
-            )
-            kwargs = dict(trace_kwargs)
-            if "seed" in trace_factory.__code__.co_varnames:
-                kwargs.setdefault("seed", seed)
-            runtime = TraceRuntime(net.fabric, trace_factory(**kwargs))
-            exec_time = runtime.run(timeout_s=timeout_s)
-            runs.append(_collect(net.fabric, net.recorder, name, exec_time))
-        results[name] = _average_runs(runs)
-    return results

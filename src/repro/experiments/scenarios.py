@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.analysis.replay import ScenarioSpec, build
+from repro.analysis.replay import ScenarioSpec, app_spec, build
 from repro.apps.commmatrix import CommMatrixStats
 from repro.apps.lammps import lammps_chain_trace, lammps_comb_trace
 from repro.apps.nas import nas_lu_trace, nas_mg_trace
@@ -32,7 +32,7 @@ from repro.experiments.config import (
     Scale,
 )
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import PolicyRun, improvement, run_app_workload, run_policies
+from repro.experiments.runner import PolicyRun, improvement, run_policies
 from repro.mpi.trace import call_breakdown
 from repro.parallel import default_executor
 from repro.topology import make_topology
@@ -478,23 +478,12 @@ def _app_topology(scale: Scale) -> str:
 
 
 def _app_runs(
-    scale: Scale,
-    trace_factory,
-    trace_kwargs: dict,
-    policies,
-    track_routers=False,
+    scale: Scale, app: str, app_args: dict, policies, router_series: bool = False
 ) -> dict[str, PolicyRun]:
-    return run_app_workload(
-        _app_topology(scale),
-        policies,
-        trace_factory,
-        trace_kwargs=trace_kwargs,
-        seeds=scale.seeds,
-        notification=NOTIFICATION,
-        window_s=scale.window_s * 4,
-        track_routers=track_routers,
-        timeout_s=60.0,
-    )
+    """``app``'s trace on the scale's fat-tree under every policy and seed."""
+    spec = app_spec(app, "pr-drb", scale.seeds[0], _app_topology(scale), NOTIFICATION,
+                    app_args, router_series)
+    return _runs(spec, policies, scale.seeds)
 
 
 def fig_4_20_nas_lu_map(scale: Scale = QUICK) -> ExperimentResult:
@@ -507,7 +496,7 @@ def fig_4_20_nas_lu_map(scale: Scale = QUICK) -> ExperimentResult:
     )
     runs = _app_runs(
         scale,
-        nas_lu_trace,
+        "nas-lu",
         {"num_ranks": scale.app_ranks, "problem_class": "A",
          "iterations": max(2, scale.app_iterations)},
         ["deterministic", "drb", "pr-drb"],
@@ -545,7 +534,7 @@ def fig_4_21_nas_mg(scale: Scale = QUICK) -> ExperimentResult:
     for cls in classes:
         runs = _app_runs(
             scale,
-            nas_mg_trace,
+            "nas-mg",
             {"num_ranks": scale.app_ranks, "problem_class": cls,
              "iterations": scale.app_iterations},
             ["deterministic", "drb", "pr-drb"],
@@ -590,11 +579,11 @@ def fig_4_22_23_mg_router_contention(scale: Scale = QUICK) -> ExperimentResult:
     )
     runs = _app_runs(
         scale,
-        nas_mg_trace,
+        "nas-mg",
         {"num_ranks": scale.app_ranks, "problem_class": "A",
          "iterations": max(2, scale.app_iterations)},
         ["drb", "pr-drb"],
-        track_routers=True,
+        router_series=True,
     )
     drb, pr = runs["drb"], runs["pr-drb"]
     # The two most congested routers under DRB.
@@ -629,7 +618,7 @@ def fig_4_24_26_lammps(scale: Scale = QUICK) -> ExperimentResult:
     )
     runs = _app_runs(
         scale,
-        lammps_chain_trace,
+        "lammps-chain",
         {"num_ranks": scale.app_ranks, "iterations": max(3, scale.app_iterations * 2)},
         ["deterministic", "drb", "pr-drb"],
     )
@@ -681,7 +670,7 @@ def fig_4_27_30_pop(scale: Scale = QUICK) -> ExperimentResult:
     ]
     runs = _app_runs(
         scale,
-        pop_trace,
+        "pop",
         {"num_ranks": scale.app_ranks, "steps": max(2, scale.app_iterations)},
         policies,
     )

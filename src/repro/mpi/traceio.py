@@ -17,6 +17,8 @@ Format::
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from pathlib import Path
 from typing import IO, Union
 
@@ -50,18 +52,22 @@ _ENCODERS = {
     Barrier: lambda e: ["barrier"],
 }
 
+#: event kind -> (event class, what each argument is): ``"rank"`` a
+#: peer, source or root rank of the trace, ``"bytes"`` a size >= 1,
+#: ``"int"`` any integer (a tag or request id), ``"seconds"`` a finite
+#: duration >= 0.
 _DECODERS = {
-    "compute": lambda a: Compute(float(a[0])),
-    "send": lambda a: Send(int(a[0]), int(a[1]), int(a[2])),
-    "recv": lambda a: Recv(int(a[0]), int(a[1])),
-    "isend": lambda a: Isend(int(a[0]), int(a[1]), int(a[2]), int(a[3])),
-    "irecv": lambda a: Irecv(int(a[0]), int(a[1]), int(a[2])),
-    "wait": lambda a: Wait(int(a[0])),
-    "waitall": lambda a: Waitall(),
-    "allreduce": lambda a: Allreduce(int(a[0])),
-    "reduce": lambda a: Reduce(int(a[0]), int(a[1])),
-    "bcast": lambda a: Bcast(int(a[0]), int(a[1])),
-    "barrier": lambda a: Barrier(),
+    "compute": (Compute, ("seconds",)),
+    "send": (Send, ("rank", "bytes", "int")),
+    "recv": (Recv, ("rank", "int")),
+    "isend": (Isend, ("rank", "bytes", "int", "int")),
+    "irecv": (Irecv, ("rank", "int", "int")),
+    "wait": (Wait, ("int",)),
+    "waitall": (Waitall, ()),
+    "allreduce": (Allreduce, ("bytes",)),
+    "reduce": (Reduce, ("bytes", "rank")),
+    "bcast": (Bcast, ("bytes", "rank")),
+    "barrier": (Barrier, ()),
 }
 
 
@@ -84,21 +90,72 @@ def trace_to_dict(trace: Trace) -> dict:
     }
 
 
+#: the most ranks a trace file may declare: a rank costs memory before
+#: any of its events is read.
+MAX_RANKS = 1 << 16
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: argument kind -> (what it must be, its check given the rank count).
+_ARGUMENTS = {
+    "rank": ("a rank of 0..{top}", lambda value, ranks: _is_int(value) and 0 <= value < ranks),
+    "bytes": ("a size >= 1", lambda value, ranks: _is_int(value) and value >= 1),
+    "int": ("an integer", lambda value, ranks: _is_int(value)),
+    "seconds": ("a finite duration >= 0", lambda value, ranks: (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max)),
+}
+
+
+def _decode_event(item, num_ranks: int, where: str):
+    """One ``[kind, *args]`` list as its event; ``ValueError`` naming
+    ``where`` for an unknown kind, a wrong argument count or a bad value."""
+    if not (isinstance(item, list) and item and isinstance(item[0], str)
+            and item[0] in _DECODERS):
+        raise ValueError(f"{where}: not a known [kind, ...] event: {reprlib.repr(item)}; "
+                         f"kinds are {sorted(_DECODERS)}")
+    cls, kinds = _DECODERS[item[0]]
+    args = item[1:]
+    if len(args) != len(kinds):
+        raise ValueError(f"{where}: {item[0]!r} takes {len(kinds)} argument(s), "
+                         f"got {len(args)}")
+    for kind, value in zip(kinds, args):
+        what, check = _ARGUMENTS[kind]
+        if not check(value, num_ranks):
+            raise ValueError(f"{where}: {item[0]!r} needs {what.format(top=num_ranks - 1)}, "
+                             f"got {reprlib.repr(value)}")
+    return cls(*args)
+
+
 def trace_from_dict(data: dict) -> Trace:
-    """Decode :func:`trace_to_dict` output back into a Trace."""
-    trace = Trace(
-        name=data["name"],
-        num_ranks=int(data["num_ranks"]),
-        metadata=dict(data.get("metadata", {})),
-    )
-    for rank_str, encoded in data.get("events", {}).items():
-        rank = int(rank_str)
-        for item in encoded:
-            kind, args = item[0], item[1:]
-            decoder = _DECODERS.get(kind)
-            if decoder is None:
-                raise ValueError(f"unknown event kind {kind!r}")
-            trace.append(rank, decoder(args))
+    """Decode :func:`trace_to_dict` output back into a Trace.
+
+    Outside input: anything but that shape raises ``ValueError`` naming
+    the field, or the rank and event index — a peer, source or root
+    rank off the trace, a negative size, a negative or non-finite
+    compute time, a wrong argument count, an unknown event kind."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a trace must be a JSON object, got {type(data).__name__}")
+    name, num_ranks = data.get("name"), data.get("num_ranks")
+    metadata, events = data.get("metadata", {}), data.get("events", {})
+    if not isinstance(name, str):
+        raise ValueError(f"trace 'name' must be a string, got {reprlib.repr(name)}")
+    if not _is_int(num_ranks) or not 1 <= num_ranks <= MAX_RANKS:
+        raise ValueError(f"trace 'num_ranks' must be an integer from 1 to {MAX_RANKS}, "
+                         f"got {reprlib.repr(num_ranks)}")
+    if not isinstance(metadata, dict) or not isinstance(events, dict):
+        raise ValueError("trace 'metadata' and 'events' must be objects")
+    trace = Trace(name=name, num_ranks=num_ranks, metadata=dict(metadata))
+    for rank_str, encoded in events.items():
+        rank = int(rank_str) if str(rank_str).isdecimal() else -1
+        if not 0 <= rank < num_ranks or not isinstance(encoded, list):
+            raise ValueError(f"trace 'events' key {rank_str!r} must be a rank of "
+                             f"0..{num_ranks - 1} holding a list of events")
+        for index, item in enumerate(encoded):
+            trace.append(rank, _decode_event(item, num_ranks, f"rank {rank} event {index}"))
     return trace
 
 

@@ -4,8 +4,8 @@ The observability layer for the whole stack.  Three pieces:
 
 * :class:`~repro.obs.tracer.Tracer` — a flight recorder of typed events
   (packet lifecycle, router contention, policy decisions, faults,
-  retransmissions) backed by a bounded ring buffer with pluggable sinks
-  (JSONL file, in-memory, metrics counting);
+  retransmissions) streamed to pluggable sinks (JSONL file, in-memory,
+  metrics counting);
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
   histograms snapshotted on a configurable *sim-time* cadence;
 * ``python -m repro.obs`` — CLI with ``summarize``, ``export``

@@ -6,8 +6,8 @@ cell's :class:`~repro.obs.metrics.MetricsRegistry` cadence snapshots are
 published into a :class:`MetricsBus`, and every HTTP subscriber (an SSE
 stream, the dashboard, a test) reads its own bounded queue.
 
-The contract mirrors the :class:`~repro.obs.tracer.Tracer` ring: a slow
-or stalled consumer must never slow the simulation down.  ``publish``
+The contract: a slow or stalled consumer must never slow the
+simulation down.  ``publish``
 never blocks — when a subscriber's queue is full the event is dropped
 *for that subscriber only* and its ``dropped`` counter incremented.  The
 publishing thread (the one executing simulation cells) therefore runs at

@@ -214,7 +214,7 @@ class CountingSink:
 
     Every record increments ``trace.<name>``; two argument-bearing events
     additionally feed histograms (delivery latency, CFD wait), so the
-    registry keeps distributions even after the tracer ring wraps.
+    registry keeps distributions without keeping the records.
     """
 
     def __init__(self, metrics: MetricsRegistry) -> None:

@@ -1,4 +1,4 @@
-"""Typed event tracing with a bounded ring buffer and pluggable sinks.
+"""Typed event tracing through pluggable sinks.
 
 Event taxonomy (names are ``category.action``; the category is everything
 before the first dot):
@@ -38,15 +38,11 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-from collections import deque
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, NamedTuple, Optional
 
 #: bump when the record encoding changes shape.
 TRACE_VERSION = 1
-
-#: default ring-buffer capacity (records kept in memory per tracer).
-DEFAULT_CAPACITY = 65536
 
 
 class TraceRecord(NamedTuple):
@@ -105,31 +101,22 @@ _new_record = tuple.__new__
 
 
 class Tracer:
-    """Flight recorder: bounded ring buffer plus streaming sinks.
+    """Flight recorder: forwards every record to its sinks.
 
-    ``emit`` appends to the ring (evicting the oldest record once
-    ``capacity`` is reached, counted in ``dropped``) and forwards the
-    record to every sink.  Sinks therefore see the *complete* stream even
-    when the in-memory ring has wrapped.
+    The tracer keeps no record itself; a :class:`MemorySink` keeps them
+    in memory, a :class:`JsonlSink` streams them to a file, and a
+    :class:`~repro.obs.metrics.CountingSink` folds them into counters.
     """
 
-    __slots__ = ("records", "emitted", "_sinks", "_writes")
+    __slots__ = ("emitted", "_sinks", "_writes")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, sinks=()) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.records: deque[TraceRecord] = deque(maxlen=capacity)
+    def __init__(self, sinks=()) -> None:
         self.emitted = 0
         self._sinks: list = []
         #: every sink's bound ``write``, rebuilt by ``add_sink``.
         self._writes: tuple = ()
         for sink in sinks:
             self.add_sink(sink)
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted from the ring (every sink still saw them)."""
-        return self.emitted - len(self.records)
 
     # ------------------------------------------------------------------
     def emit(
@@ -144,7 +131,6 @@ class Tracer:
         """Record one event.  Hot-layer call sites guard with a single
         ``if tracer is not None`` so the disabled cost is one branch."""
         record = _new_record(TraceRecord, (ts, name, track, ph, dur, args))
-        self.records.append(record)
         self.emitted += 1
         for write in self._writes:
             write(record)
@@ -161,18 +147,6 @@ class Tracer:
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
-
-    # ------------------------------------------------------------------
-    def by_name(self, name: str) -> list[TraceRecord]:
-        """Ring-buffer records with exactly this event name."""
-        return [r for r in self.records if r.name == name]
-
-    def counts(self) -> dict[str, int]:
-        """Ring-buffer record counts keyed by event name (sorted)."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.name] = counts.get(record.name, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 class MemorySink:

@@ -154,7 +154,7 @@ _DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
 #: task kinds whose params :func:`repro.analysis.replay.scenario_spec`
 #: parses into a :class:`~repro.analysis.replay.ScenarioSpec`.
-SCENARIO_KINDS = ("replay", "fault", "hotspot", "pattern")
+SCENARIO_KINDS = ("replay", "fault", "hotspot", "pattern", "app")
 
 #: task kinds a job spec may reference: every scenario kind
 #: (``selftest`` is the orchestrator test double and stays CLI/test-only).
@@ -270,7 +270,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
                 params = {"policy": policy, "spec": {
                     **extra, "seed": seed, **scenario, "ack_loss": ack_loss,
                 }}
-            else:  # hotspot / pattern carry their spec fields in params
+            else:  # hotspot / pattern / app carry their spec fields in params
                 params = {**extra, "policy": policy, "seed": seed}
             tasks.append(
                 SimTask(kind=kind, params=params, label=f"{kind}:{policy}/seed{seed}")

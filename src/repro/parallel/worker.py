@@ -15,9 +15,10 @@ Task kinds
     One seeded small-mesh hot-spot run, built from its params by the
     scenario spine (:func:`repro.analysis.replay.scenario_spec`); result
     carries the event-trace and metrics SHA-256 digests.
-``hotspot`` / ``pattern``
+``hotspot`` / ``pattern`` / ``app``
     One (policy, seed) cell of :func:`repro.experiments.runner.run_policies`:
-    its params are the spec's own fields, parsed by the same
+    a hot-spot, a permutation or an application trace.  Its params are
+    the spec's own fields, parsed by the same
     :func:`~repro.analysis.replay.scenario_spec`, and
     :func:`~repro.experiments.runner.run_cell` runs it; result is a
     lossless :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
@@ -31,10 +32,11 @@ Task kinds
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Optional
 
-from repro.parallel.tasks import SimTask, json_safe
+from repro.parallel.tasks import SCENARIO_KINDS, SimTask, json_safe
 
 __all__ = [
     "TASK_KINDS",
@@ -45,11 +47,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Kind implementations
 # ----------------------------------------------------------------------
-def _run_spec(kind: str, params: dict, tracer, metrics, metrics_cadence_s) -> dict:
+def _run_spec(kind: str, params: dict, tracer=None, metrics=None,
+              metrics_cadence_s=None) -> dict:
     from repro.analysis.replay import build, scenario_spec, task_result
 
     spec = scenario_spec(kind, params)
-    if kind in ("hotspot", "pattern"):  # a PolicyRun
+    if kind in ("hotspot", "pattern", "app"):  # a PolicyRun
         from repro.experiments.runner import run_cell
 
         return run_cell(spec, tracer, metrics, metrics_cadence_s).to_dict()
@@ -57,22 +60,6 @@ def _run_spec(kind: str, params: dict, tracer, metrics, metrics_cadence_s) -> di
                      metrics=metrics, metrics_cadence_s=metrics_cadence_s)
     scenario.sim.run(until=scenario.until)
     return task_result(scenario)
-
-
-def _run_replay(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    return _run_spec("replay", params, tracer, metrics, metrics_cadence_s)
-
-
-def _run_fault(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    return _run_spec("fault", params, tracer, metrics, metrics_cadence_s)
-
-
-def _run_hotspot(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    return _run_spec("hotspot", params, tracer, metrics, metrics_cadence_s)
-
-
-def _run_pattern(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    return _run_spec("pattern", params, tracer, metrics, metrics_cadence_s)
 
 
 def _run_selftest(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
@@ -105,11 +92,8 @@ def _run_selftest(params: dict, tracer=None, metrics=None, metrics_cadence_s=Non
     raise ValueError(f"unknown selftest mode {mode!r}")
 
 
-TASK_KINDS: dict[str, Callable[[dict], dict]] = {
-    "replay": _run_replay,
-    "fault": _run_fault,
-    "hotspot": _run_hotspot,
-    "pattern": _run_pattern,
+TASK_KINDS: dict[str, Callable[..., dict]] = {
+    **{kind: functools.partial(_run_spec, kind) for kind in SCENARIO_KINDS},
     "selftest": _run_selftest,
 }
 

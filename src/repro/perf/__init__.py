@@ -4,11 +4,12 @@ The hot-path optimizations in :mod:`repro.sim.engine`,
 :mod:`repro.network` and :mod:`repro.core` are only admissible if they
 change *nothing* observable: the rule (docs/performance.md) is **no
 optimization without a digest match**.  The gate enforces it: replay the
-seeded :func:`repro.analysis.replay` scenario for every routing policy
-and compare the event-trace and metrics digests against the committed
-``baseline.json``.  Any drift is a hard failure (exit code 1): the
-"optimization" changed simulation behavior and must be fixed or the
-baseline consciously re-recorded with ``--update-baseline``.
+seeded :func:`repro.analysis.replay` scenario and the pinned application
+cell (:func:`pinned_app_spec`) for every routing policy and compare the
+event-trace and metrics digests against the committed ``baseline.json``.
+Any drift is a hard failure (exit code 1): the "optimization" changed
+simulation behavior and must be fixed or the baseline consciously
+re-recorded with ``--update-baseline``.
 
 The module also pins the workloads the benchmarks time
 (:func:`pinned_hotspot_spec`, :func:`pinned_dragonfly_spec`).  It reads
@@ -29,6 +30,7 @@ __all__ = [
     "BASELINE_PATH",
     "load_baseline",
     "check_digests",
+    "pinned_app_spec",
     "pinned_dragonfly_spec",
     "pinned_hotspot_spec",
     "run_pinned_workload",
@@ -44,8 +46,13 @@ DEFAULT_POLICIES = (
     "notified-adaptive", "ugal",
 )
 
-#: Committed baseline: the replay scenario and its per-policy digests.
+#: Committed baseline: the replay scenario, its per-policy digests and
+#: the pinned application cell's.
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
+
+#: baseline sections of per-policy digests: the replay scenario's and
+#: :func:`pinned_app_spec`'s.
+SECTIONS = ("digests", "app_digests")
 
 
 def load_baseline(path: Optional[Path] = None) -> dict:
@@ -58,32 +65,36 @@ def load_baseline(path: Optional[Path] = None) -> dict:
 # Digest gate
 # ----------------------------------------------------------------------
 def check_digests(
-    policies: Sequence[str], baseline: dict
+    policies: Sequence[str], baseline: dict, section: str = "digests"
 ) -> dict[str, dict]:
-    """Replay the baseline scenario per policy; compare both digests.
+    """Replay one section's scenario per policy; compare both digests.
 
-    Returns ``{policy: {"ok": bool, "got": {...}, "expected": {...}}}``.
-    A policy missing from the baseline is reported with ``ok=False`` so a
-    newly added policy forces a conscious baseline update.
+    ``"digests"`` replays ``baseline["scenario"]``, ``"app_digests"``
+    the :func:`pinned_app_spec` cell.  Returns ``{policy: {"ok": bool,
+    "got": {...}, "expected": {...}}}``.  A policy missing from the
+    baseline is reported with ``ok=False`` so a newly added policy forces
+    a conscious baseline update.
     """
-    from repro.analysis.replay import run_scenario
+    from repro.analysis.replay import build, finish, replay_spec
 
     scenario = baseline["scenario"]
     results: dict[str, dict] = {}
     for policy in policies:
-        run = run_scenario(
-            seed=scenario["seed"],
-            policy=policy,
-            mesh_side=scenario["mesh_side"],
-            repetitions=scenario["repetitions"],
-        )
+        if section == "digests":
+            spec = replay_spec(policy, scenario["seed"], scenario["mesh_side"],
+                               scenario["repetitions"])
+        else:
+            spec = pinned_app_spec(policy)
+        built = build(spec, digest=True)
+        built.sim.run(until=built.until)
+        run = finish(built)
         got = {
             "events": run.events,
             "metrics": run.metrics,
             "events_executed": run.events_executed,
             "packets_delivered": run.packets_delivered,
         }
-        expected = baseline["digests"].get(policy)
+        expected = baseline.get(section, {}).get(policy)
         ok = expected is not None and all(
             got[k] == expected[k] for k in got
         )
@@ -133,6 +144,20 @@ def pinned_dragonfly_spec(policy: str, seed: int = 0, repetitions: int = 3):
         rate_bps=1.3e9, burst_on_s=3e-4, burst_off_s=1e-4, repetitions=repetitions,
         noise_rate_bps=30e6, idle_rate_bps=0.0, notification="router", drain_s=8e-4,
     )
+
+
+def pinned_app_spec(policy: str, seed: int = 0):
+    """The pinned application-trace cell of the digest gate.
+
+    POP (16 ranks, 2 time steps) on ``fattree:4,2`` under router-based
+    notification, replayed by :class:`repro.mpi.runtime.TraceRuntime`.
+    Unlike the replay hot-spot it tells ``drb``, ``fr-drb`` and
+    ``pr-drb`` apart: FR-DRB's watchdog fires on it.
+    """
+    from repro.analysis.replay import app_spec
+
+    return app_spec("pop", policy, seed, "fattree:4,2", "router",
+                    {"num_ranks": 16, "steps": 2})
 
 
 def run_pinned_workload(
@@ -214,15 +239,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             parser.error(f"argument --policies: {exc}")
     baseline = load_baseline(args.baseline)
-    results = check_digests(policies, baseline)
-    digest_ok = all(r["ok"] for r in results.values())
-    digests = {p: r["got"] for p, r in results.items()}
-    for policy, result in results.items():
-        print(f"[{'ok ' if result['ok'] else 'FAIL'}] {policy}")
+    digest_ok = True
+    digests: dict[str, dict] = {}
+    for section in SECTIONS:
+        results = check_digests(policies, baseline, section)
+        digest_ok &= all(r["ok"] for r in results.values())
+        digests[section] = {p: r["got"] for p, r in results.items()}
+        prefix = "" if section == "digests" else "app:"
+        for policy, result in results.items():
+            print(f"[{'ok ' if result['ok'] else 'FAIL'}] {prefix}{policy}")
     if args.out is not None:
         args.out.write_text(json.dumps({
             "digest_ok": digest_ok,
-            "digests": digests,
+            **digests,
             "scenario": baseline["scenario"],
         }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"report: {args.out}")
@@ -230,7 +259,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.update_baseline:
         target = args.baseline or BASELINE_PATH
         updated = {
-            "digests": {**baseline["digests"], **digests},
+            **{section: {**baseline.get(section, {}), **digests[section]}
+               for section in SECTIONS},
             "scenario": baseline["scenario"],
         }
         target.write_text(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.routing.base import RoutingPolicy
 
@@ -174,7 +174,7 @@ _SPEC_TYPES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _spec_params(factory: Callable[..., RoutingPolicy]) -> Optional[dict]:
+def spec_params(factory: Callable[..., Any]) -> Optional[dict]:
     """The spec-string keys ``factory`` takes, each mapped to its value
     check (``None``: any value); ``None`` if it takes ``**kwargs``."""
     params = inspect.signature(factory).parameters.values()
@@ -208,7 +208,7 @@ def check_policy_spec(spec: str) -> tuple[Callable[..., RoutingPolicy], dict]:
             f"unknown routing policy {name!r}; registered policies: "
             f"{', '.join(registered_policies())}"
         )
-    takes = _spec_params(factory)
+    takes = spec_params(factory)
     if takes is None:
         return factory, kwargs
     for key, value in kwargs.items():

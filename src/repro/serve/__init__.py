@@ -24,7 +24,7 @@ House invariant (docs/serving.md): serving is *observer-only*.  A cell
 executed with the telemetry plane attached produces bit-identical
 event/metric digests to the same cell run bare, and a slow or
 disconnected SSE subscriber only ever increments a drop counter — it
-never stalls the simulation (same contract as the Tracer ring).
+never stalls the simulation.
 """
 
 from repro.serve.jobs import Job, JobStore, expand_grid, grid_key

@@ -12,13 +12,13 @@ Explicit task list::
 
 Policy x seed grid (mirrors the parallel CLI)::
 
-    {"kind": "replay",                  # replay | fault | hotspot | pattern
+    {"kind": "replay",                  # replay | fault | hotspot | pattern | app
      "policies": ["pr-drb", "deterministic"],
      "seeds": [0, 1],                   # or an int N -> seeds 0..N-1
      "mesh_side": 4, "repetitions": 3,  # replay/fault knobs
      "ack_loss": 0.1,                   # fault knob
      "params": {...}}                   # extra per-cell params (hotspot/
-                                        # pattern need topology etc. here)
+                                        # pattern/app need topology etc. here)
 
 Job identity is content-addressed like everything else in the stack:
 :func:`grid_key` hashes the sorted cell keys (which already fold in the

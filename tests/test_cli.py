@@ -87,6 +87,45 @@ def test_replay_command(capsys):
     assert "execution time" in out
 
 
+def test_replay_prints_the_same_lines_for_an_app_name_and_its_trace_file(tmp_path, capsys):
+    """A trace saved to a file replays exactly as the app it came from."""
+    from repro.apps.sweep3d import sweep3d_trace
+    from repro.mpi.traceio import save_trace
+
+    path = tmp_path / "sweep3d.json"
+    save_trace(sweep3d_trace(num_ranks=16), path)
+    assert main(["replay", "sweep3d", "--ranks", "16", "--policy", "drb"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["replay", str(path), "--policy", "drb"]) == 0
+    assert capsys.readouterr().out == by_name
+    assert by_name.startswith("policy: drb\nexecution time: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["replay", "sweep3d", "--ranks", "16", "--policy", "nosuch"], "unknown routing policy"),
+    (["replay", "{tmp}/missing.json"], "No such file"),
+    (["analyze", "{tmp}/missing.json"], "No such file"),
+    (["replay", "pop", "--ranks", "128"], "more ranks than hosts"),
+    (["replay", "pop", "--ranks", "0"], "--ranks must be >= 1"),
+    (["analyze", "pop", "--ranks", "-3"], "--ranks must be >= 1"),
+    (["replay", "{tmp}/big.json"], "more ranks than hosts"),
+    (["replay", "{tmp}/bad.json", "--policy", "drb"], "rank 0 event 0"),
+    (["analyze", "{tmp}/bad.json"], "rank 0 event 0"),
+])
+def test_replay_and_analyze_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    """A bad flag or trace file is a usage error, as for ``simulate``."""
+    from repro.apps.pop import pop_trace
+    from repro.mpi.traceio import save_trace
+
+    save_trace(pop_trace(num_ranks=128, steps=1), tmp_path / "big.json")
+    (tmp_path / "bad.json").write_text(
+        '{"name": "bad", "num_ranks": 2, "events": {"0": [["send", 7, 64, 0]]}}')
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

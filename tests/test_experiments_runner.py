@@ -5,15 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.replay import ScenarioSpec, cell_params, scenario_spec
-from repro.apps.sweep3d import sweep3d_trace
-from repro.experiments.runner import (
-    PolicyRun,
-    _average_runs,
-    improvement,
-    run_app_workload,
-    run_policies,
-)
+from repro.analysis.replay import ScenarioSpec, app_spec, cell_params, scenario_spec
+from repro.experiments.runner import PolicyRun, _average_runs, improvement, run_policies
 
 
 def test_improvement_signs():
@@ -61,6 +54,12 @@ def test_policy_run_row_and_peaks():
     assert row["accepted"] == 1.0
 
 
+def _app_cell() -> ScenarioSpec:
+    """Sweep3D's 16 ranks, one iteration, on mesh:4."""
+    return app_spec("sweep3d", "deterministic", 0, "mesh:4", "destination",
+                    {"num_ranks": 16, "iterations": 1})
+
+
 def _cell(**changes) -> ScenarioSpec:
     """A small mesh:4 hot-spot cell; ``pattern=`` makes it a permutation."""
     spec = ScenarioSpec(
@@ -102,7 +101,7 @@ def test_run_policies_hotspot_produces_contention():
     assert runs["deterministic"].map_peak_s > 0
 
 
-@pytest.mark.parametrize("kind", ["hotspot", "pattern"])
+@pytest.mark.parametrize("kind", ["hotspot", "pattern", "app"])
 def test_sweep_cells_parse_and_match_serial(kind):
     """Every cell the runner fans out parses, and runs to the serial result."""
     from repro.parallel import SweepConfig, SweepExecutor
@@ -117,6 +116,8 @@ def test_sweep_cells_parse_and_match_serial(kind):
     spec = _cell(rate_bps=4e8, burst_on_s=1e-4, drain_s=5e-4)
     if kind == "pattern":
         spec = _cell(pattern="bit-reversal", rate_bps=4e8, burst_on_s=1e-4, drain_s=5e-4)
+    elif kind == "app":
+        spec = _app_cell()
     policies = ["deterministic", "drb"]
     swept = run_policies(spec, policies, executor=Recording(SweepConfig(code_version="test")))
     serial = run_policies(spec, policies)
@@ -134,13 +135,8 @@ def test_metrics_refuse_an_executor():
                      executor=SweepExecutor(SweepConfig(code_version="test")))
 
 
-def test_run_app_workload_reports_execution_time():
-    runs = run_app_workload(
-        "mesh:4",
-        ["deterministic", "drb"],
-        sweep3d_trace,
-        trace_kwargs={"num_ranks": 16, "iterations": 1},
-    )
+def test_app_cells_report_execution_time():
+    runs = run_policies(_app_cell(), ["deterministic", "drb"])
     for r in runs.values():
         assert r.execution_time_s > 0
         assert r.accepted_ratio == 1.0

@@ -1,11 +1,11 @@
 """Fuzzers for the strings, bodies and files that arrive from outside.
 
 A job-spec body (``POST /jobs``, ``python -m repro.parallel``), a policy
-spec string, a topology spec string, a JSONL trace file and the job
-journal are outside input: a malformed one must fail with a
-``ValueError`` naming what is wrong (a 400 at the HTTP layer), never
-with a ``TypeError``, ``IndexError``, ``KeyError`` or ``AttributeError``
-from deep inside a parser or a constructor.
+spec string, a topology spec string, a JSONL trace file, an MPI trace
+file and the job journal are outside input: a malformed one must fail
+with a ``ValueError`` naming what is wrong (a 400 at the HTTP layer),
+never with a ``TypeError``, ``IndexError``, ``KeyError`` or
+``AttributeError`` from deep inside a parser or a constructor.
 """
 
 import io
@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.replay import CELL_FIELDS
+from repro.apps import APP_TRACES
 from repro.faults.campaign import FaultCampaignSpec
+from repro.mpi.traceio import load_trace
 from repro.network.config import ReliabilityConfig
 from repro.obs.cli import main as obs_main, tail_trace
 from repro.obs.tracer import read_trace
@@ -72,10 +74,14 @@ def field_dicts(names, values):
 
 reliability = field_dicts([f.name for f in fields(ReliabilityConfig)], json_values)
 fault_specs = field_dicts([f.name for f in fields(FaultCampaignSpec)], json_values | reliability)
+#: app names and the trace factories' own arguments, plus hostile ones.
+app_args = field_dicts(["num_ranks", "iterations", "steps", "problem_class", "message_bytes",
+                        "seed", "rng"], json_values | st.integers(-2, 80))
 cell_fields = sorted({name for names in CELL_FIELDS.values() for name in names})
 cells = field_dicts(
     [*cell_fields, "mesh_side", "spec"],
-    json_values | fault_specs | st.lists(st.lists(st.integers(-1, 20), max_size=3), max_size=3),
+    json_values | fault_specs | st.lists(st.lists(st.integers(-1, 20), max_size=3), max_size=3)
+    | st.sampled_from(sorted(APP_TRACES)) | app_args,
 )
 kinds = st.sampled_from([*SERVABLE_KINDS, "selftest"]) | json_values
 grids = st.fixed_dictionaries(
@@ -179,6 +185,29 @@ def test_bad_trace_line_is_named_and_the_cli_exits_without_traceback(line, capsy
             assert obs_main([command, path]) == 2
             err = capsys.readouterr().err
             assert "t.jsonl:2: " in err and "Traceback" not in err
+
+
+mpi_events = st.lists(
+    st.sampled_from(["compute", "send", "recv", "isend", "irecv", "wait", "waitall",
+                     "allreduce", "reduce", "bcast", "barrier"]).map(lambda kind: [kind])
+    .flatmap(lambda head: st.lists(numbers, max_size=4).map(lambda args: head + args))
+    | json_values,
+    max_size=4,
+)
+mpi_traces = st.fixed_dictionaries({}, optional={
+    "name": json_values, "num_ranks": numbers, "metadata": json_values,
+    "events": st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "x"]) | st.text(max_size=3),
+                              mpi_events | json_values, max_size=3) | json_values,
+}) | json_values
+
+
+@FUZZ
+@given(mpi_traces)
+def test_mpi_trace_loader_refuses_only_with_value_error(data):
+    try:
+        load_trace(io.StringIO(json.dumps(data)))
+    except ValueError:
+        pass
 
 
 job_records = st.fixed_dictionaries({}, optional={

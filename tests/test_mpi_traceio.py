@@ -108,3 +108,35 @@ def test_loaded_trace_replays():
     fabric = Fabric(Mesh2D(3), NetworkConfig(), DeterministicPolicy(), Simulator())
     rt = TraceRuntime(fabric, trace)
     assert rt.run() > 0
+
+
+def _two_ranks(*events):
+    return {"name": "bad", "num_ranks": 2, "events": {"0": [["compute", 1e-6], *events]}}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_two_ranks(["send", 7, 64, 0]), "rank 0 event 1: 'send' needs a rank of 0..1, got 7"),
+    (_two_ranks(["send", 1, -64, 0]), "rank 0 event 1: 'send' needs a size >= 1"),
+    (_two_ranks(["allreduce", 0]), "rank 0 event 1: 'allreduce' needs a size >= 1"),
+    (_two_ranks(["compute", float("nan")]), "rank 0 event 1: 'compute' needs a finite"),
+    (_two_ranks(["compute", -1]), "rank 0 event 1: 'compute' needs a finite"),
+    (_two_ranks(["compute", float("inf")]), "rank 0 event 1: 'compute' needs a finite"),
+    (_two_ranks(["send", 1]), "rank 0 event 1: 'send' takes 3 argument"),
+    (_two_ranks(["recv", -1, 0]), "rank 0 event 1: 'recv' needs a rank"),
+    (_two_ranks(["irecv", 2, 0, 1]), "rank 0 event 1: 'irecv' needs a rank"),
+    (_two_ranks(["reduce", 8, 2]), "rank 0 event 1: 'reduce' needs a rank"),
+    (_two_ranks(["bcast", 8, 5]), "rank 0 event 1: 'bcast' needs a rank"),
+    (_two_ranks(["send", 1.0, 64, 0]), "rank 0 event 1: 'send' needs a rank"),
+    (_two_ranks([["send"], 1]), "rank 0 event 1: not a known"),
+    ([], "must be a JSON object"),
+    ({"num_ranks": 2}, "'name'"),
+    ({"name": "x", "num_ranks": 0}, "'num_ranks'"),
+    ({"name": "x", "num_ranks": 10**12}, "'num_ranks'"),
+    ({"name": "x", "num_ranks": 2, "events": {"2": []}}, "'events' key '2'"),
+])
+def test_malformed_trace_refused_naming_rank_and_event(data, message):
+    """A trace file is outside input: what no replay could run fails at
+    load time, never mid-run or as a silent zero-length compute."""
+    with pytest.raises(ValueError) as refused:
+        trace_from_dict(data)
+    assert message in str(refused.value)

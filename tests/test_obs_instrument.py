@@ -1,5 +1,7 @@
 """Instrumented runs: event coverage, non-perturbation, trace determinism."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.replay import build, finish, run_scenario
@@ -29,7 +31,9 @@ OBSERVED_SPECS = [
 
 
 def traced_run(policy, tmp_path=None, metrics=None, cadence=None, seed=0):
-    sinks = [MemorySink()]
+    """The replay run traced: its digest and every record it emitted."""
+    memory = MemorySink()
+    sinks = [memory]
     if tmp_path is not None:
         sinks.append(JsonlSink(tmp_path, label=policy))
     tracer = Tracer(sinks=sinks)
@@ -38,7 +42,12 @@ def traced_run(policy, tmp_path=None, metrics=None, cadence=None, seed=0):
         tracer=tracer, metrics=metrics, metrics_cadence_s=cadence,
     )
     tracer.close()
-    return digest, tracer
+    assert tracer.emitted == len(memory.records)
+    return digest, memory.records
+
+
+def name_counts(records) -> dict[str, int]:
+    return dict(sorted(Counter(r.name for r in records).items()))
 
 
 class TestNonPerturbation:
@@ -47,10 +56,10 @@ class TestNonPerturbation:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_digests_identical_with_and_without_tracing(self, policy):
         bare = run_scenario(seed=0, policy=policy, repetitions=2)
-        traced, tracer = traced_run(
+        traced, records = traced_run(
             policy, metrics=MetricsRegistry(), cadence=5e-5
         )
-        assert tracer.emitted > 0
+        assert records
         assert traced.events == bare.events
         assert traced.metrics == bare.metrics
         assert traced.events_executed == bare.events_executed
@@ -135,21 +144,21 @@ class TestTracedRunRecords:
         assert lines == [_encode(r.to_json_obj()) + "\n" for r in memory.records]
         assert categories <= {r.category for r in memory.records}
 
-    def test_counting_sink_counts_equal_the_ring_counts(self):
+    def test_counting_sink_counts_equal_the_record_counts(self):
         metrics = MetricsRegistry()
-        _, tracer = traced_run("pr-drb", metrics=metrics)
-        assert tracer.emitted > 0 and tracer.dropped == 0
+        _, records = traced_run("pr-drb", metrics=metrics)
+        assert records
         counters = metrics.to_dict()["counters"]
         assert {
             name.removeprefix("trace."): value
             for name, value in counters.items() if name.startswith("trace.")
-        } == tracer.counts()
+        } == name_counts(records)
 
 
 class TestEventCoverage:
     def test_drb_emits_metapath_lifecycle(self):
-        _, tracer = traced_run("drb")
-        counts = tracer.counts()
+        _, records = traced_run("drb")
+        counts = name_counts(records)
         assert counts["zone.transition"] > 0
         assert counts["msp.open"] > 0
         assert counts["msp.select"] > 0
@@ -158,25 +167,25 @@ class TestEventCoverage:
         assert counts["congestion.episode"] > 0
 
     def test_prdrb_emits_prediction_events(self):
-        _, tracer = traced_run("pr-drb")
-        counts = tracer.counts()
+        _, records = traced_run("pr-drb")
+        counts = name_counts(records)
         assert counts["prediction.save"] > 0
         assert counts["prediction.hit"] > 0
         assert counts["prediction.miss"] > 0
 
     def test_congestion_episode_has_duration(self):
-        _, tracer = traced_run("pr-drb")
-        episodes = tracer.by_name("congestion.episode")
+        _, records = traced_run("pr-drb")
+        episodes = [r for r in records if r.name == "congestion.episode"]
         assert episodes and all(e.ph == "X" and e.dur > 0 for e in episodes)
 
     def test_deterministic_policy_emits_only_fabric_events(self):
-        _, tracer = traced_run("deterministic")
-        categories = {r.category for r in tracer.records}
+        _, records = traced_run("deterministic")
+        categories = {r.category for r in records}
         assert categories <= {"packet", "msg", "router"}
 
     def test_tracks_cover_flows_and_routers(self):
-        _, tracer = traced_run("pr-drb")
-        kinds = {r.track[0] for r in tracer.records}
+        _, records = traced_run("pr-drb")
+        kinds = {r.track[0] for r in records}
         assert {"flow", "router"} <= kinds
 
 

@@ -13,13 +13,14 @@ import json
 
 import pytest
 
-from repro.analysis.replay import run_scenario
+from repro.analysis.replay import build, finish, run_scenario
 from repro.perf import (
     BASELINE_PATH,
     DEFAULT_POLICIES,
     check_digests,
     load_baseline,
     main,
+    pinned_app_spec,
     run_pinned_workload,
 )
 
@@ -31,13 +32,14 @@ def baseline() -> dict:
 
 def test_committed_baseline_shape(baseline):
     assert BASELINE_PATH.exists()
-    assert set(baseline["digests"]) == set(DEFAULT_POLICIES)
-    for policy, entry in baseline["digests"].items():
-        assert len(entry["events"]) == 64, policy
-        assert len(entry["metrics"]) == 64, policy
+    for section in ("digests", "app_digests"):
+        assert set(baseline[section]) == set(DEFAULT_POLICIES)
+        for policy, entry in baseline[section].items():
+            assert len(entry["events"]) == 64, policy
+            assert len(entry["metrics"]) == 64, policy
     assert baseline["scenario"] == {"seed": 0, "mesh_side": 4, "repetitions": 3}
     # Rates live in the committed BENCH_engine.json, not in the gate.
-    assert set(baseline) == {"digests", "scenario"}
+    assert set(baseline) == {"digests", "app_digests", "scenario"}
 
 
 @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
@@ -56,6 +58,27 @@ def test_replay_digests_bit_identical_to_baseline(baseline, policy):
     assert run.metrics == expected["metrics"]
     assert run.events_executed == expected["events_executed"]
     assert run.packets_delivered == expected["packets_delivered"]
+
+
+@pytest.mark.parametrize("policy", DEFAULT_POLICIES)
+def test_app_digests_bit_identical_to_baseline_under_invariants(baseline, policy):
+    """The pinned application cell, replayed by the trace runtime, keeps
+    its digests, and packet conservation, buffer credits and zone
+    legality hold on it (DebugInvariants observes without perturbing)."""
+    scenario = build(pinned_app_spec(policy), digest=True, with_invariants=True)
+    scenario.sim.run(until=scenario.until)
+    assert scenario.workload.done
+    run = finish(scenario)
+    expected = baseline["app_digests"][policy]
+    assert (run.events, run.metrics) == (expected["events"], expected["metrics"])
+    assert run.events_executed == expected["events_executed"]
+    assert run.packets_delivered == expected["packets_delivered"]
+
+
+def test_app_digests_tell_the_drb_family_apart(baseline):
+    """The app cell gates FR-DRB's watchdog: its digests differ from DRB's."""
+    digests = baseline["app_digests"]
+    assert len({digests[p]["events"] for p in ("drb", "fr-drb", "pr-drb")}) == 3
 
 
 def test_gate_reaches_every_registered_policy():

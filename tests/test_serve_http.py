@@ -27,6 +27,13 @@ SPEC = {
     "repetitions": 2,
 }
 
+#: the digest gate's pinned POP cell (``repro.perf.pinned_app_spec``).
+APP_SPEC = {
+    "kind": "app", "policies": ["drb"], "seeds": [0],
+    "params": {"app": "pop", "app_args": {"num_ranks": 16, "steps": 2},
+               "topology": "fattree:4,2", "notification": "router"},
+}
+
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
@@ -239,6 +246,36 @@ class TestEndToEnd:
             _post(base, "/jobs", body)
         assert err.value.code == 400
         assert f"'{field}'" in json.loads(err.value.read())["error"]
+
+    def test_app_job_runs_the_pinned_cell(self, server):
+        """An ``app`` grid runs through the service like any scenario kind,
+        and each cell is the run_cell result of its spec."""
+        from repro.experiments.runner import run_cell
+        from repro.perf import pinned_app_spec
+
+        base, _service = server
+        job = _wait_terminal(base, _post(base, "/jobs", APP_SPEC)["job"]["id"])
+        assert job["state"] == "done" and job["executed"] == 1
+        (cell,) = _get(base, f"/jobs/{job['id']}/results")["cells"]
+        assert cell["result"] == run_cell(pinned_app_spec("drb")).to_dict()
+
+    @pytest.mark.parametrize("params, field", [
+        ({"app": "nosuch"}, "'app'"),
+        ({"app_args": {"num_ranks": 16, "stepz": 2}}, "stepz"),
+        ({"app_args": {"num_ranks": 16, "seed": 3}}, "'seed'"),
+        ({"app_args": {"num_ranks": "16"}}, "'num_ranks'"),
+        ({"app_args": {"steps": 2}}, "num_ranks must be from 1 to the 16 hosts"),
+        ({"app": "nas-mg", "app_args": {"num_ranks": 16, "problem_class": "Z"}},
+         "'app_args': nas-mg builds no trace"),
+        ({"app_args": {"num_ranks": 16, "halo_bytes": -4}}, "'app_args': pop builds a -4-byte"),
+    ])
+    def test_bad_app_cells_are_a_400_naming_the_field(self, server, params, field):
+        base, _service = server
+        body = {**APP_SPEC, "params": {**APP_SPEC["params"], **params}}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/jobs", body)
+        assert err.value.code == 400
+        assert field in json.loads(err.value.read())["error"]
 
     @pytest.mark.parametrize(
         "path, length_header, status",

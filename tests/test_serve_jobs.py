@@ -13,6 +13,7 @@ SCHEDULE = {"burst_on_s": 1e-4, "burst_off_s": 1e-4, "repetitions": 2}
 HOTSPOT = {"topology": "mesh:4", "flows": [[0, 15]], "rate_bps": 4e8, **SCHEDULE}
 PATTERN = {"topology": "mesh:4", "pattern": "bit-reversal", "hosts": 16, "rate_bps": 4e8,
            **SCHEDULE}
+APP = {"topology": "fattree:4,2", "app": "pop", "app_args": {"num_ranks": 16}}
 
 
 class TestExpandGrid:
@@ -45,7 +46,7 @@ class TestExpandGrid:
             expand_grid({"kind": "hotspot", "policies": ["drb"], "seeds": 1})
 
     def test_workload_grid_params_pass_through_unchanged(self):
-        for kind, extra in (("hotspot", HOTSPOT), ("pattern", PATTERN)):
+        for kind, extra in (("hotspot", HOTSPOT), ("pattern", PATTERN), ("app", APP)):
             tasks = expand_grid({"kind": kind, "policies": ["drb"], "seeds": 1,
                                  "params": extra})
             assert tasks[0].params == {**extra, "policy": "drb", "seed": 0}
@@ -128,6 +129,33 @@ class TestExpandGrid:
             ({"tasks": [{"kind": "fault", "params": {"spec": {"ack_loss": "x"}}}]}, "ack_loss"),
             ({"kind": "fault", "params": {"reliability": {"retx_timeout_s": "x"}}},
              "retx_timeout_s"),
+            # app cells: an unknown app, an argument its factory does not
+            # take, a mistyped one, more ranks (the factory's 64) than hosts
+            ({"kind": "app", "params": {**APP, "app": "nosuch"}}, "'app'.*nosuch"),
+            ({"kind": "app", "params": {**APP, "app_args": {"rng": 1}}}, "'app_args'.*'rng'"),
+            ({"kind": "app", "params": {**APP, "app_args": {"steps": 2.5}}},
+             "'steps' must be an integer"),
+            ({"kind": "app", "params": {**APP, "app_args": {}}}, "got 64"),
+            ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 0}}}, "got 0"),
+            ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 10**9}}},
+             "got 1000000000"),
+            # ... and arguments the factory takes but builds no runnable
+            # trace from: it fails on them, or a message is under a byte
+            ({"kind": "app", "params": {**APP, "app": "nas-mg",
+                                        "app_args": {"num_ranks": 16, "problem_class": "Z"}}},
+             "'app_args': nas-mg builds no trace.*KeyError"),
+            ({"kind": "app", "params": {**APP, "app": "lammps-chain",
+                                        "app_args": {"num_ranks": 1}}},
+             "'app_args': lammps-chain builds no trace"),
+            ({"kind": "app", "params": {**APP, "app": "sweep3d",
+                                        "app_args": {"num_ranks": 16, "message_bytes": -8}}},
+             "'app_args': sweep3d builds a -8-byte message"),
+            ({"kind": "app", "params": {**APP, "app": "lammps-comb",
+                                        "app_args": {"num_ranks": 16, "message_bytes": 0}}},
+             "'app_args': lammps-comb builds a 0-byte message"),
+            ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 16, "halo_bytes": 3}}},
+             "'app_args': pop builds a 0-byte message"),
+            ({"kind": "app", "params": {**APP, "app_args": [16]}}, "'app_args'"),
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
