@@ -5,7 +5,7 @@ experiments: every figure is a multi-seed average, and PR-DRB's predictive
 contribution (replaying a saved solution when a congestion signature
 recurs) is only measurable when run-to-run behaviour is bit-stable for a
 given seed.  This package makes that property machine-checked instead of
-aspirational, in three layers:
+aspirational, in four layers:
 
 * :mod:`repro.analysis.lint` — AST-based static lints tuned to this
   simulator (``no-ambient-rng``, ``no-wall-clock``, ``no-salted-hash``,
@@ -17,9 +17,10 @@ aspirational, in three layers:
   asserting clock monotonicity, packet conservation, buffer-credit
   non-negativity and metapath zone-transition legality while a simulation
   runs.
-* :mod:`repro.analysis.replay` — the seeded-replay determinism harness:
-  run a scenario twice with the same seed and diff event-trace and metric
-  digests.  Run as ``python -m repro.analysis replay``.
+* :mod:`repro.analysis.replay` — the scenario spine: one
+  :class:`~repro.analysis.replay.ScenarioSpec` per run, built and
+  digested (event trace and metrics) the one way; the tier-1 tests and
+  ``python -m repro.perf`` hold same-seed digests bit-identical.
 * :mod:`repro.analysis.reporting` — the lints' text/JSON rendering and
   the stale-pragma audit (``python -m repro.analysis src --prune-pragmas``).
 
@@ -35,16 +36,14 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.replay import ReplayReport, RunDigest, check_determinism, run_scenario
+from repro.analysis.replay import RunDigest, run_scenario
 
 __all__ = [
     "ALL_RULES",
     "DebugInvariants",
     "InvariantViolation",
-    "ReplayReport",
     "RunDigest",
     "Violation",
-    "check_determinism",
     "lint_file",
     "lint_paths",
     "lint_source",

@@ -1,10 +1,11 @@
-"""Seeded-replay determinism harness.
+"""The scenario spine and its digests.
 
 The predictive claim of the paper is only measurable if a scenario replayed
 with the same seed is *bit-identical*: every figure averages repeated
 bursts across seeds, and PR-DRB's solution reuse compares congestion
-signatures across repetitions.  This module runs a small mesh PR-DRB
-scenario N times with the same root seed and diffs two digests per run:
+signatures across repetitions.  Every scenario cell is a
+:class:`ScenarioSpec` built by :func:`build`, and :func:`finish` digests
+it twice:
 
 * the **event-trace digest** — a SHA-256 over every executed event's
   ``(time, priority, sequence, callback)`` tuple, captured through
@@ -14,21 +15,23 @@ scenario N times with the same root seed and diffs two digests per run:
   latencies, windowed series, fabric counters and policy statistics (the
   quantities the evaluation chapter actually plots).
 
-Used three ways: as a CLI (``python -m repro.analysis replay``), as a
-tier-1 regression test (``tests/test_determinism_replay.py``), and as a
-library (:func:`check_determinism`) for gating future refactors.
+:func:`run_scenario` runs and digests the small-mesh hot-spot of
+:func:`replay_spec`.  The tier-1 tests hold same-seed runs to identical
+digests (``tests/test_determinism_replay.py``), and ``python -m
+repro.perf`` holds them to the committed ``baseline.json``: a digest
+compared against a file also catches what two runs in one process share,
+such as a salted ``hash()``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 import numbers
 import reprlib
 import struct
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME
 
@@ -43,7 +46,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RunDigest",
-    "ReplayReport",
     "EventTraceDigest",
     "Scenario",
     "ScenarioSpec",
@@ -58,8 +60,6 @@ __all__ = [
     "run_scenario",
     "scenario_spec",
     "task_result",
-    "check_determinism",
-    "main",
 ]
 
 
@@ -82,27 +82,6 @@ class RunDigest:
             "metrics": self.metrics,
             "events_executed": self.events_executed,
             "packets_delivered": self.packets_delivered,
-        }
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    """Outcome of replaying one scenario ``runs`` times with one seed."""
-
-    runs: tuple[RunDigest, ...]
-
-    @property
-    def deterministic(self) -> bool:
-        first = self.runs[0]
-        return all(
-            r.events == first.events and r.metrics == first.metrics
-            for r in self.runs[1:]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "deterministic": self.deterministic,
-            "runs": [r.to_dict() for r in self.runs],
         }
 
 
@@ -212,7 +191,7 @@ def digest_metrics(fabric, recorder, policy) -> str:
 class ScenarioSpec:
     """One seeded scenario, as plain picklable data.
 
-    The replay harness (:func:`replay_spec`), the fault campaign
+    The ``replay`` cells (:func:`replay_spec`), the fault campaign
     (:meth:`repro.faults.campaign.FaultCampaignSpec.scenario`), the
     pinned runs of :mod:`repro.perf` and every hot-spot, permutation and
     application-trace cell of :mod:`repro.experiments.scenarios` are all
@@ -271,7 +250,8 @@ class ScenarioSpec:
 def replay_spec(
     policy: str = "pr-drb", seed: int = 0, mesh_side: int = 4, repetitions: int = 3
 ) -> ScenarioSpec:
-    """The seeded small-mesh hot-spot the replay harness digests.
+    """The seeded small-mesh hot-spot of a ``replay`` cell and of
+    :func:`run_scenario`.
 
     A ``mesh_side`` x ``mesh_side`` mesh carries three colliding flows plus
     uniform background noise through repeated bursts — small enough for a
@@ -715,8 +695,9 @@ def run_scenario(
     """One complete :func:`replay_spec` run, fully seeded, digested.
 
     Observation never perturbs behavior, so the digests are identical
-    with or without ``tracer``/``metrics`` — ``repro.obs selftest``
-    checks exactly that through this entry point.
+    with or without ``tracer``/``metrics`` —
+    ``tests/test_obs_instrument.py::TestNonPerturbation`` checks exactly
+    that through this entry point.
     """
     scenario = build(
         replay_spec(policy, seed, mesh_side, repetitions), digest=True,
@@ -725,67 +706,3 @@ def run_scenario(
     )
     scenario.sim.run(until=scenario.until)
     return finish(scenario)
-
-
-def check_determinism(
-    seed: int = 0,
-    runs: int = 2,
-    policy: str = "pr-drb",
-    mesh_side: int = 4,
-    repetitions: int = 3,
-) -> ReplayReport:
-    """Replay the scenario ``runs`` times with one seed; diff the digests."""
-    if runs < 2:
-        raise ValueError("need at least 2 runs to compare")
-    digests = tuple(
-        run_scenario(
-            seed=seed, policy=policy, mesh_side=mesh_side, repetitions=repetitions
-        )
-        for _ in range(runs)
-    )
-    return ReplayReport(runs=digests)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: ``python -m repro.analysis replay [--seed N] [--runs K]``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis replay",
-        description="Seeded-replay determinism harness: run a small mesh "
-        "PR-DRB scenario repeatedly and diff event/metric digests.",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--runs", type=int, default=2)
-    parser.add_argument("--policy", default="pr-drb")
-    parser.add_argument("--mesh-side", type=int, default=4)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-    # Exit 1 means NON-DETERMINISTIC: a bad input must not read as one.
-    if args.runs < 2:
-        parser.error("--runs must be at least 2 to compare digests")
-    if args.seed < 0:
-        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
-    if args.mesh_side < 2:
-        parser.error(f"argument --mesh-side: must be >= 2, got {args.mesh_side}")
-    from repro.routing import check_policy_spec
-
-    try:
-        check_policy_spec(args.policy)
-    except ValueError as exc:
-        parser.error(f"argument --policy: {exc}")
-
-    report = check_determinism(
-        seed=args.seed, runs=args.runs, policy=args.policy, mesh_side=args.mesh_side
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for i, run in enumerate(report.runs):
-            print(
-                f"run {i}: events={run.events[:16]}… metrics={run.metrics[:16]}… "
-                f"({run.events_executed} events, {run.packets_delivered} delivered)"
-            )
-        verdict = "DETERMINISTIC" if report.deterministic else "NON-DETERMINISTIC"
-        print(f"{verdict}: seed={args.seed} policy={args.policy} runs={args.runs}")
-    return 0 if report.deterministic else 1

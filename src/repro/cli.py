@@ -134,7 +134,10 @@ def _cmd_replay(args) -> int:
         runtime = TraceRuntime(fabric, trace)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
-    execution_time_s = runtime.run(timeout_s=30.0)
+    try:
+        execution_time_s = runtime.run(timeout_s=30.0)
+    except RuntimeError as exc:  # a deadlocked trace; the message names its blocked ranks
+        return _usage_error(exc)
     print(f"policy: {args.policy}")
     print(f"execution time: {execution_time_s * 1e3:.3f} ms")
     print(f"global average latency: {fabric.recorder.global_average_latency_s * 1e6:.2f} us")

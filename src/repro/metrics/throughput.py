@@ -31,12 +31,3 @@ class Throughput:
         if self.interval_s <= 0:
             return 0.0
         return self.delivered_bytes * 8 / self.interval_s
-
-    @classmethod
-    def from_fabric(cls, fabric, interval_s: float) -> "Throughput":
-        return cls(
-            injected_packets=fabric.data_packets_injected,
-            delivered_packets=fabric.data_packets_delivered,
-            delivered_bytes=fabric.data_bytes_delivered,
-            interval_s=interval_s,
-        )

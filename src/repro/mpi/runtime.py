@@ -89,7 +89,8 @@ class TraceRuntime:
             self.start()
         self.fabric.sim.run(until=self.fabric.sim.now + timeout_s)
         if self.finish_time is None:
-            stuck = [r for r in self.trace.ranks() if self._blocked[r] is not None]
+            # A finished rank is marked "done", a running one None.
+            stuck = [r for r in self.trace.ranks() if isinstance(self._blocked[r], tuple)]
             raise RuntimeError(
                 f"trace did not complete within {timeout_s}s; "
                 f"blocked ranks: {stuck[:8]}{'...' if len(stuck) > 8 else ''}"

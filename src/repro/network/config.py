@@ -83,18 +83,12 @@ class NetworkConfig:
         self._packet_tx_s: float = (
             self.packet_size_bytes * 8 / self.link_bandwidth_bps
         )
-        self._ack_tx_s: float = self.ack_size_bytes * 8 / self.link_bandwidth_bps
 
     # ------------------------------------------------------------------
     @property
     def packet_tx_time_s(self) -> float:
         """Serialization time of a data packet on one link."""
         return self._packet_tx_s
-
-    @property
-    def ack_tx_time_s(self) -> float:
-        """Serialization time of an ACK packet on one link."""
-        return self._ack_tx_s
 
     def tx_time_s(self, size_bytes: int) -> float:
         """Serialization time of ``size_bytes`` on one link (memoized)."""
@@ -142,13 +136,3 @@ class ReliabilityConfig:
             self.retx_timeout_s * self.backoff_factor**retries,
             self.max_backoff_s,
         )
-
-
-def paper_mesh_config() -> NetworkConfig:
-    """Table 4.2 parameters (hot-spot experiments on the 8x8 mesh)."""
-    return NetworkConfig()
-
-
-def paper_fattree_config() -> NetworkConfig:
-    """Table 4.3 parameters (permutation traffic on the 4-ary tree)."""
-    return NetworkConfig()

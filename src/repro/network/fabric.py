@@ -146,8 +146,11 @@ class Fabric:
 
         Messages larger than a packet are fragmented; one metapath
         selection is made per message so fragments share a route and
-        arrive in order (the paper's ``MPI_sequence`` ordering).
+        arrive in order (the paper's ``MPI_sequence`` ordering).  A
+        message under one byte is refused: no packet could carry it.
         """
+        if size_bytes < 1:
+            raise ValueError(f"'size_bytes' must be >= 1, got {size_bytes}")
         if src == dst:
             # Loopback: deliver immediately without touching the network.
             node = self.nodes[dst]

@@ -66,11 +66,6 @@ class OutputPort:
     #: CFD quiet-period end.
     cfd_quiet_until: float = 0.0
 
-    @property
-    def mean_wait_s(self) -> float:
-        """Average contention latency seen by packets through this port."""
-        return self.total_wait_s / self.packets if self.packets else 0.0
-
 
 class Router:
     """A network node executing the PR-DRB forwarding pipeline."""

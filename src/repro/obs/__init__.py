@@ -9,14 +9,16 @@ The observability layer for the whole stack.  Three pieces:
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
   histograms snapshotted on a configurable *sim-time* cadence;
 * ``python -m repro.obs`` — CLI with ``summarize``, ``export``
-  (``--format perfetto|jsonl``), ``diff``, ``record`` and ``selftest``.
+  (``--format perfetto|jsonl|prometheus``), ``tail``, ``diff`` and
+  ``record``.
 
 The instrumentation contract (docs/observability.md): every hot-layer
 emit sits behind a single ``if tracer is not None`` guard, events observe
 and never mutate, and with tracing disabled the ``repro.perf`` replay
 digests stay bit-identical.  Tracing *enabled* also keeps digests
 identical — observation rides the simulator observer list and schedules
-no events of its own.
+no events of its own.  ``tests/test_obs_instrument.py``
+(``TestNonPerturbation``) holds every policy's digests to both.
 """
 
 from repro.obs.bus import BusSubscription, MetricsBus

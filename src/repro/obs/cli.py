@@ -13,10 +13,6 @@ Subcommands:
   line; exit 1 on any difference.
 * ``record --policy P --out PATH [--perfetto PATH]`` — run the pinned
   hot-spot workload (see :mod:`repro.perf`) with tracing on.
-* ``selftest [--quick]`` — the observation contract: tracing must not
-  change replay digests, same-seed traces must be byte-identical, the
-  Perfetto export must be loadable, and (full mode) the pinned pr-drb
-  run must show zone transitions, notifications and prediction hits.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Optional, Sequence, TextIO
 from repro.obs.export import (
     export_prometheus,
     registry_from_records,
-    to_perfetto,
     write_perfetto,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -288,97 +283,6 @@ def record_pinned(
     return summarize(memory.records)
 
 
-# ----------------------------------------------------------------------
-# selftest
-# ----------------------------------------------------------------------
-def selftest(quick: bool = False, verbose: bool = True) -> int:
-    """Assert the observation contract; returns a process exit code."""
-    import tempfile
-
-    from repro.analysis.replay import run_scenario
-
-    failures: list[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        if verbose:
-            print(f"[{'ok ' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        if not ok:
-            failures.append(name)
-
-    # 1. Tracing must not alter behavior: identical digests with and
-    #    without full instrumentation (tracer + metrics cadence).
-    bare = run_scenario(seed=0, policy="pr-drb", repetitions=2)
-    tracer = Tracer(sinks=[MemorySink()])
-    metrics = MetricsRegistry()
-    traced = run_scenario(
-        seed=0, policy="pr-drb", repetitions=2,
-        tracer=tracer, metrics=metrics, metrics_cadence_s=5e-5,
-    )
-    check(
-        "tracing preserves event digest",
-        bare.events == traced.events,
-        f"{bare.events[:12]} vs {traced.events[:12]}",
-    )
-    check("tracing preserves metrics digest", bare.metrics == traced.metrics)
-    check("tracer captured events", tracer.emitted > 0, f"{tracer.emitted} records")
-    check("cadence produced snapshots", len(metrics.snapshots) > 0)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-
-        # 2. Same seed => byte-identical JSONL (modulo the header label).
-        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-        for i, path in enumerate(paths):
-            sink = JsonlSink(path, label=f"run-{i}")  # labels differ on purpose
-            t = Tracer(sinks=[sink])
-            run_scenario(seed=0, policy="pr-drb", repetitions=2, tracer=t)
-            t.close()
-        problems = diff_traces(*paths)
-        check("same-seed traces byte-identical", not problems, "; ".join(problems[:1]))
-
-        # 3. Perfetto export loads back as valid trace-event JSON.
-        memory = MemorySink()
-        t = Tracer(sinks=[memory])
-        run_scenario(seed=0, policy="pr-drb", repetitions=2, tracer=t)
-        perfetto_path = tmp_path / "trace.json"
-        write_perfetto(perfetto_path, memory.records, label="selftest")
-        with open(perfetto_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        events = doc.get("traceEvents", [])
-        check(
-            "perfetto export valid",
-            bool(events)
-            and all("ph" in e and "pid" in e and "tid" in e for e in events),
-            f"{len(events)} trace events",
-        )
-
-    # 4. Full mode: the pinned mesh:8 pr-drb hot-spot run must surface
-    #    the paper's decision events, including solution-DB reuse.
-    if not quick:
-        memory = MemorySink()
-        t = Tracer(sinks=[memory])
-        from repro.perf import run_pinned_workload
-
-        run_pinned_workload("pr-drb", 200_000, tracer=t)
-        summary = summarize(memory.records)
-        names = summary["events_by_name"]
-        check("pinned run has zone transitions", names.get("zone.transition", 0) > 0)
-        check("pinned run has notifications", names.get("notify.send", 0) > 0)
-        check("pinned run has prediction hits", names.get("prediction.hit", 0) > 0)
-        check(
-            "pinned run solution-DB hit rate > 0",
-            summary["prediction"]["hit_rate"] > 0,
-            f"{summary['prediction']['hit_rate']:.1%}",
-        )
-
-    if failures:
-        print(f"selftest: {len(failures)} check(s) failed", file=sys.stderr)
-        return 1
-    if verbose:
-        print("selftest: all checks passed")
-    return 0
-
-
 def _trace_command(args) -> int:
     """Run a command that reads trace files: summarize, export, tail, diff."""
     if args.command == "summarize":
@@ -433,7 +337,7 @@ def _trace_command(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="trace summarize/export/diff/record/selftest",
+        description="trace summarize/export/tail/diff/record",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -482,9 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_rec.add_argument("--perfetto", type=Path, default=None)
     p_rec.add_argument("--label", default="")
 
-    p_self = sub.add_parser("selftest", help="assert the observation contract")
-    p_self.add_argument("--quick", action="store_true")
-
     args = parser.parse_args(argv)
 
     if args.command in ("summarize", "export", "tail", "diff"):
@@ -495,20 +396,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"python -m repro.obs {args.command}: {exc}", file=sys.stderr)
             return 2
 
-    if args.command == "record":
-        summary = record_pinned(
-            args.policy, args.out,
-            max_events=args.events, perfetto=args.perfetto, label=args.label,
-        )
-        _print_summary(summary)
-        print(f"wrote {args.out}")
-        if args.perfetto:
-            print(f"wrote {args.perfetto}")
-        return 0
-
-    return selftest(quick=args.quick)
-
-
-def perfetto_from_records(records: Sequence[TraceRecord], label: str = "") -> dict:
-    """Convenience re-export used by scripts; see :func:`to_perfetto`."""
-    return to_perfetto(records, label=label)
+    summary = record_pinned(  # record
+        args.policy, args.out,
+        max_events=args.events, perfetto=args.perfetto, label=args.label,
+    )
+    _print_summary(summary)
+    print(f"wrote {args.out}")
+    if args.perfetto:
+        print(f"wrote {args.perfetto}")
+    return 0

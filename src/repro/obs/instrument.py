@@ -8,7 +8,8 @@ and optionally attaches a sim-time snapshot cadence.
 
 Everything here *observes*: no scheduled events, no mutation of simulated
 state — so instrumented and bare runs execute the identical event stream
-(``repro.obs selftest`` holds the digests to that).
+(``tests/test_obs_instrument.py::TestNonPerturbation`` holds the
+digests to that).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ cadence.  The cadence rides the simulator's observer list
 (:meth:`~repro.sim.engine.Simulator.add_observer`) instead of scheduling
 events of its own — so attaching a registry never changes the event
 digests: the event stream a traced and an untraced run execute is
-bit-identical (the invariant ``repro.obs selftest`` asserts).
+bit-identical (``tests/test_obs_instrument.py::TestNonPerturbation``
+asserts it).
 """
 
 from __future__ import annotations

@@ -1,15 +1,10 @@
-"""CLI: ``python -m repro.parallel`` — run, verify, inspect sweeps.
+"""CLI: ``python -m repro.parallel`` — run and inspect sweeps.
 
 Subcommands
 -----------
 ``run``
     Fan a policy x seed sweep (replay digests or fault scenarios) out to
     N workers, against the content-addressed result cache.
-``verify``
-    Parallel-equivalence smoke: run the same small sweep serially and
-    with N workers (both uncached) and fail unless every cell's result —
-    including the replay event/metric digests — is bit-identical.
-    Exit 0 iff equivalent; used directly as a CI step.
 ``status``
     Print the last sweep's manifest from the cache directory: counts,
     wall-clock, throughput, and the failure ledger.
@@ -20,7 +15,6 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -28,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.orchestrator import SweepConfig, run_sweep
-from repro.parallel.tasks import SimTask, canonical_json, expand_grid
+from repro.parallel.tasks import SimTask, expand_grid
 
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 _DEFAULT_CACHE = ".repro_cache"
@@ -77,14 +71,16 @@ def _grid_tasks(parser: argparse.ArgumentParser, args) -> list[SimTask]:
             f"got {args.seeds!r}"
         )
     try:
-        return expand_grid({
+        spec = {
             "kind": args.kind,
             "policies": args.policies,
             "seeds": seeds,
             "mesh_side": args.mesh_side,
             "repetitions": args.repetitions,
-            "ack_loss": args.ack_loss,
-        })
+        }
+        if args.kind == "fault":
+            spec["ack_loss"] = args.ack_loss
+        return expand_grid(spec)
     except ValueError as exc:
         message = str(exc).removeprefix("params: ")
         flag = next((f for name, f in _FLAGS.items() if f"'{name}'" in message), None)
@@ -108,23 +104,17 @@ def _progress_printer(event: dict) -> None:
         )
 
 
-def _sweep_config(args, cache_dir: Optional[str]) -> SweepConfig:
-    return SweepConfig(
+def _cmd_run(args) -> int:
+    config = SweepConfig(
         workers=args.workers,
         timeout_s=args.timeout,
         max_retries=args.retries,
-        cache_dir=cache_dir,
-        profile=getattr(args, "profile", False),
-        trace=getattr(args, "trace", False),
+        cache_dir=None if args.no_cache else _cache_dir(args),
+        profile=args.profile,
+        trace=args.trace,
     )
-
-
-def _cmd_run(args) -> int:
-    cache_dir = None if args.no_cache else _cache_dir(args)
     report = run_sweep(
-        args.tasks,
-        _sweep_config(args, cache_dir),
-        progress=None if args.json else _progress_printer,
+        args.tasks, config, progress=None if args.json else _progress_printer,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -152,39 +142,6 @@ def _cmd_run(args) -> int:
             f"workers={report.workers} code_version={report.code_version}"
         )
     return 0 if report.all_ok else 1
-
-
-def _cmd_verify(args) -> int:
-    tasks = args.tasks
-    parallel_config = _sweep_config(args, None)
-    serial = run_sweep(
-        tasks, dataclasses.replace(parallel_config, workers=1, timeout_s=None)
-    )
-    parallel = run_sweep(tasks, parallel_config)
-    if not serial.all_ok or not parallel.all_ok:
-        print("FAIL: sweep cells failed", file=sys.stderr)
-        for report in (serial, parallel):
-            for outcome in report.failed:
-                print(f"  {outcome.task.display()}: {outcome.error}", file=sys.stderr)
-        return 1
-    mismatches = []
-    for task, left, right in zip(tasks, serial.results, parallel.results):
-        if canonical_json(left) != canonical_json(right):
-            mismatches.append(task.display())
-    if mismatches:
-        print(
-            f"NON-DETERMINISTIC: {len(mismatches)} cell(s) differ between "
-            f"serial and {args.workers}-worker execution:", file=sys.stderr,
-        )
-        for label in mismatches:
-            print(f"  {label}", file=sys.stderr)
-        return 1
-    print(
-        f"DETERMINISTIC: {len(tasks)} cells bit-identical between serial and "
-        f"{args.workers}-worker execution "
-        f"(serial {serial.wall_s:.2f}s, parallel {parallel.wall_s:.2f}s)"
-    )
-    return 0
 
 
 def _cmd_status(args) -> int:
@@ -238,26 +195,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=["replay", "fault"], default="replay")
-    parser.add_argument(
-        "--policies", nargs="+", default=list(DEFAULT_POLICIES),
-        help="routing policies to sweep (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--seeds", default="4",
-        help="seed count (N -> 0..N-1) or explicit comma list (default: 4)",
-    )
-    parser.add_argument("--mesh-side", type=int, default=4)
-    parser.add_argument("--repetitions", type=int, default=3)
-    parser.add_argument("--ack-loss", type=float, default=0.1,
-                        help="fault sweeps: ACK loss probability")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-task wall-clock budget, seconds")
-    parser.add_argument("--retries", type=int, default=3)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel",
@@ -267,7 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="execute a policy x seed sweep")
-    _add_sweep_arguments(run_parser)
+    run_parser.add_argument("--kind", choices=["replay", "fault"], default="replay")
+    run_parser.add_argument(
+        "--policies", nargs="+", default=list(DEFAULT_POLICIES),
+        help="routing policies to sweep (default: %(default)s)",
+    )
+    run_parser.add_argument(
+        "--seeds", default="4",
+        help="seed count (N -> 0..N-1) or explicit comma list (default: 4)",
+    )
+    run_parser.add_argument("--mesh-side", type=int, default=4)
+    run_parser.add_argument("--repetitions", type=int, default=3)
+    run_parser.add_argument("--ack-loss", type=float, default=0.1,
+                            help="fault sweeps: ACK loss probability")
+    run_parser.add_argument("--workers", type=int, default=2)
+    run_parser.add_argument("--timeout", type=float, default=None,
+                            help="per-task wall-clock budget, seconds")
+    run_parser.add_argument("--retries", type=int, default=3)
     run_parser.add_argument("--cache-dir", default=None,
                             help=f"result cache (default: {_DEFAULT_CACHE})")
     run_parser.add_argument("--no-cache", action="store_true")
@@ -277,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="repro.obs-trace each executed cell into the "
                             "cache dir (<key>.trace.jsonl)")
     run_parser.add_argument("--json", action="store_true")
-
-    verify_parser = sub.add_parser(
-        "verify", help="serial vs parallel bit-equivalence smoke (CI gate)"
-    )
-    _add_sweep_arguments(verify_parser)
 
     status_parser = sub.add_parser("status", help="print the last sweep manifest")
     status_parser.add_argument("--cache-dir", default=None)
@@ -296,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "verify": _cmd_verify,
     "status": _cmd_status,
     "cache": _cmd_cache,
 }
@@ -305,7 +252,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("run", "verify"):
+    if args.command == "run":
         args.tasks = _grid_tasks(parser, args)
     return _COMMANDS[args.command](args)
 

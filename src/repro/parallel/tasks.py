@@ -160,6 +160,14 @@ SCENARIO_KINDS = ("replay", "fault", "hotspot", "pattern", "app")
 #: (``selftest`` is the orchestrator test double and stays CLI/test-only).
 SERVABLE_KINDS = SCENARIO_KINDS
 
+#: the fields of a ``tasks[i]`` object, and of a grid spec of each kind;
+#: the grid's ``mesh_side``/``repetitions``/``ack_loss`` are the
+#: ``replay``/``fault`` scenario knobs the other kinds set in ``params``.
+_TASK_FIELDS = ("kind", "params", "label")
+_GRID_FIELDS = ("kind", "policies", "seeds", "params")
+_KNOBS = {"replay": ("mesh_side", "repetitions"),
+          "fault": ("mesh_side", "repetitions", "ack_loss")}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -224,14 +232,19 @@ def expand_grid(spec: dict) -> list[SimTask]:
     Spec shapes are documented in :mod:`repro.serve.jobs`.  Every
     cell's params go through :func:`repro.analysis.replay.scenario_spec`,
     the parser the worker runs, so a missing, unknown or mistyped field,
-    or a value no run could complete, fails here.  Raises ``ValueError``
+    or a value no run could complete, fails here; so does a spec or task
+    field the expansion would not read (``ack_loss`` on a ``replay``
+    grid, ``mesh_side`` on a ``hotspot`` one).  Raises ``ValueError``
     naming the field for anything malformed — the HTTP layer turns that
     into a 400 so bad specs never reach the queue.
     """
+    from repro.analysis.replay import _known_fields
+
     if not isinstance(spec, dict):
         raise ValueError("job spec must be a JSON object")
 
     if "tasks" in spec:
+        _known_fields(spec, ("tasks",), "task-list spec")
         raw_tasks = spec["tasks"]
         if not isinstance(raw_tasks, list) or not raw_tasks:
             raise ValueError("'tasks' must be a non-empty list")
@@ -239,6 +252,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
         for index, raw in enumerate(raw_tasks):
             if not isinstance(raw, dict) or "kind" not in raw:
                 raise ValueError(f"tasks[{index}] must be an object with 'kind'")
+            _known_fields(raw, _TASK_FIELDS, f"tasks[{index}]")
             kind = str(raw["kind"])
             if kind not in SERVABLE_KINDS:
                 raise ValueError(
@@ -253,6 +267,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
     kind = str(spec.get("kind", "replay"))
     if kind not in SERVABLE_KINDS:
         raise ValueError(f"kind {kind!r} not servable; allowed: {list(SERVABLE_KINDS)}")
+    _known_fields(spec, _GRID_FIELDS + _KNOBS.get(kind, ()), f"{kind} grid")
     policies = _parse_policies(spec.get("policies", _DEFAULT_POLICIES))
     seeds = _parse_seeds(spec.get("seeds", 1))
     extra = _as_params(spec.get("params", {}), "params")

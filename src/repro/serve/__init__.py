@@ -18,13 +18,14 @@ Pieces
   ``GET /jobs/<id>/events``, ``GET /events``, ``GET /metrics``,
   ``GET /`` dashboard);
 * ``python -m repro.serve`` — CLI (``--port``, ``--cache-dir``,
-  ``--journal``, ``--selftest``).
+  ``--journal``, ``--workers``, ``--cadence``).
 
 House invariant (docs/serving.md): serving is *observer-only*.  A cell
 executed with the telemetry plane attached produces bit-identical
 event/metric digests to the same cell run bare, and a slow or
 disconnected SSE subscriber only ever increments a drop counter — it
-never stalls the simulation.
+never stalls the simulation.  ``tests/test_serve_http.py`` holds the
+service to both over real loopback HTTP.
 """
 
 from repro.serve.jobs import Job, JobStore, expand_grid, grid_key

@@ -20,6 +20,10 @@ Policy x seed grid (mirrors the parallel CLI)::
      "params": {...}}                   # extra per-cell params (hotspot/
                                         # pattern/app need topology etc. here)
 
+A field the expansion would not read is refused, never dropped: an
+unknown one, a knob another kind reads, or a ``tasks[i]`` key other
+than ``kind``, ``params`` and ``label``.
+
 Job identity is content-addressed like everything else in the stack:
 :func:`grid_key` hashes the sorted cell keys (which already fold in the
 code version), so two submissions that expand to the same cells — however
@@ -40,7 +44,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.parallel.tasks import SimTask, canonical_json, expand_grid, task_key
+from repro.parallel.tasks import SimTask, expand_grid, task_key
 
 __all__ = ["Job", "JobStore", "expand_grid", "grid_key", "JOB_STATES"]
 
@@ -264,8 +268,3 @@ def _journal_job(raw: bytes, where: str) -> Job:
         return Job.from_dict(obj.get("job"))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-
-
-def spec_digest(spec: dict) -> str:
-    """Hash of the raw spec text (diagnostics only; identity is grid_key)."""
-    return hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()[:16]

@@ -21,8 +21,8 @@ loses the per-cell snapshot series (documented in docs/serving.md).
 Everything published is observation: the worker thread runs the same
 ``run_sweep`` a CLI user would, the bus never blocks it (bounded lossy
 subscriber queues), and cell digests are bit-identical with or without
-the service attached — ``python -m repro.serve --selftest`` proves that
-end to end.
+the service attached
+(``tests/test_serve_http.py::TestEndToEnd::test_served_digests_match_direct_run``).
 """
 
 from __future__ import annotations

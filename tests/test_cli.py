@@ -111,6 +111,7 @@ def test_replay_prints_the_same_lines_for_an_app_name_and_its_trace_file(tmp_pat
     (["replay", "{tmp}/big.json"], "more ranks than hosts"),
     (["replay", "{tmp}/bad.json", "--policy", "drb"], "rank 0 event 0"),
     (["analyze", "{tmp}/bad.json"], "rank 0 event 0"),
+    (["replay", "{tmp}/deadlock.json"], "blocked ranks: [0]"),
 ])
 def test_replay_and_analyze_usage_errors_exit_2(argv, message, tmp_path, capsys):
     """A bad flag or trace file is a usage error, as for ``simulate``."""
@@ -120,6 +121,9 @@ def test_replay_and_analyze_usage_errors_exit_2(argv, message, tmp_path, capsys)
     save_trace(pop_trace(num_ranks=128, steps=1), tmp_path / "big.json")
     (tmp_path / "bad.json").write_text(
         '{"name": "bad", "num_ranks": 2, "events": {"0": [["send", 7, 64, 0]]}}')
+    (tmp_path / "deadlock.json").write_text(
+        '{"name": "deadlock", "num_ranks": 2, "metadata": {}, '
+        '"events": {"0": [["recv", 1, 0]], "1": [["compute", 1e-6]]}}')
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err

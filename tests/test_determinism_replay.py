@@ -1,8 +1,9 @@
 """Seeded-replay determinism regression (tier 1).
 
-Runs the reference hot-spot scenario through :mod:`repro.analysis.replay`
-and asserts bit-identical event-trace and metric digests across repeated
-same-seed runs — the property every engine/routing change must preserve.
+Runs the reference hot-spot scenario through
+:func:`repro.analysis.replay.run_scenario` and asserts bit-identical
+event-trace and metric digests across repeated same-seed runs — the
+property every engine/routing change must preserve.
 """
 
 import functools
@@ -15,18 +16,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.replay import EventTraceDigest, check_determinism, run_scenario
-from repro.analysis.replay import main as replay_main
+from repro.analysis.replay import EventTraceDigest, run_scenario
 from repro.sim.engine import FN, PRIORITY, SEQUENCE, TIME, EventView
 from repro.topology import make_topology
 
 
 def test_same_seed_runs_are_bit_identical():
-    report = check_determinism(seed=0, runs=2, policy="pr-drb", mesh_side=4)
-    assert report.deterministic, report.mismatches
-    first, second = report.runs
+    first = run_scenario(seed=0, policy="pr-drb", mesh_side=4)
+    second = run_scenario(seed=0, policy="pr-drb", mesh_side=4)
     assert first.events == second.events
     assert first.metrics == second.metrics
     assert first.events_executed == second.events_executed
@@ -48,38 +45,6 @@ def test_invariant_hook_does_not_perturb_the_trace():
     checked = run_scenario(seed=0, with_invariants=True)
     assert plain.events == checked.events
     assert plain.metrics == checked.metrics
-
-
-def test_replay_cli_reports_deterministic():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "replay",
-         "--seed", "3", "--runs", "2", "--json"],
-        capture_output=True,
-        text=True,
-        cwd=str(Path(__file__).resolve().parent.parent),
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    payload = json.loads(result.stdout)
-    assert payload["deterministic"] is True
-    assert len(payload["runs"]) == 2
-    assert payload["runs"][0]["events"] == payload["runs"][1]["events"]
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (("--policy", "nosuch"), "--policy"),
-    (("--policy", "drb:nokey=1"), "--policy"),
-    (("--mesh-side", "1"), "--mesh-side"),
-    (("--seed", "-1"), "--seed"),
-])
-def test_replay_cli_bad_input_is_a_usage_error(argv, flag, capsys):
-    """Exit 1 means NON-DETERMINISTIC; a typo exits 2 before any run."""
-    with pytest.raises(SystemExit) as exit_info:
-        replay_main(list(argv))
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert f"argument {flag}:" in captured.err
-    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

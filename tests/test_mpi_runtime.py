@@ -109,10 +109,26 @@ def test_collectives_auto_lowered_and_complete():
 def test_deadlock_detection_raises():
     trace = Trace("deadlock", 2)
     trace.extend(0, [Recv(1, tag=0)])  # nobody ever sends
-    trace.extend(1, [])
+    trace.extend(1, [Compute(1e-6)])  # rank 1 finishes: it is not blocked
     rt = make_runtime(trace)
-    with pytest.raises(RuntimeError, match="blocked ranks"):
+    with pytest.raises(RuntimeError, match=r"blocked ranks: \[0\]$"):
         rt.run(timeout_s=1e-3)
+
+
+def test_a_zero_byte_send_is_refused_before_it_reaches_a_router():
+    """A 0-byte send, then a 0-byte allreduce, once crashed
+    ``Router.forward`` with ``KeyError: ContendingFlow(src=0, dst=1)``
+    partway through this PR-DRB replay; the first send now refuses it."""
+    from repro.api import build_network
+    from repro.sim.rng import RandomStreams
+
+    trace = Trace("zero-bytes", 2)
+    trace.extend(0, [Send(1, 0, tag=0), Allreduce(0)])
+    trace.extend(1, [Recv(0, tag=0), Allreduce(0)])
+    fabric = build_network("fattree:4,3", "pr-drb", notification="router",
+                           rng=RandomStreams(0).stream("routing")).fabric
+    with pytest.raises(ValueError, match="'size_bytes' must be >= 1, got 0"):
+        TraceRuntime(fabric, trace).run()
 
 
 def test_rank_to_host_mapping():

@@ -80,6 +80,9 @@ def test_notification_constants():
 
 def test_zero_size_message_still_moves():
     fabric, sim = make()
+    for src, dst in ((0, 15), (3, 3)):  # 0 bytes is refused at the send, loopback too
+        with pytest.raises(ValueError, match="'size_bytes' must be >= 1, got 0"):
+            fabric.send(src, dst, 0)
     n = fabric.send(0, 15, 1)  # 1-byte message
     assert n == 1
     sim.run()

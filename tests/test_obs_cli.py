@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` CLI: summarize, export, diff, selftest."""
+"""``python -m repro.obs`` CLI: summarize, export, diff."""
 
 import json
 
@@ -91,9 +91,3 @@ class TestDiff:
         assert main(["diff", str(a), str(b)]) == 1
         out = capsys.readouterr().out
         assert "record count differs" in out
-
-
-class TestSelftest:
-    def test_quick_selftest_passes(self, capsys):
-        assert main(["selftest", "--quick"]) == 0
-        assert "all checks passed" in capsys.readouterr().out

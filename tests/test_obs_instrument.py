@@ -1,5 +1,6 @@
 """Instrumented runs: event coverage, non-perturbation, trace determinism."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     read_trace,
+    write_perfetto,
 )
 from repro.obs.cli import diff_traces
 from repro.obs.tracer import _encode
@@ -31,11 +33,13 @@ OBSERVED_SPECS = [
 
 
 def traced_run(policy, tmp_path=None, metrics=None, cadence=None, seed=0):
-    """The replay run traced: its digest and every record it emitted."""
+    """The replay run traced: its digest and every record it emitted,
+    also written to the JSONL file ``tmp_path`` (labelled with its name)
+    when one is given."""
     memory = MemorySink()
     sinks = [memory]
     if tmp_path is not None:
-        sinks.append(JsonlSink(tmp_path, label=policy))
+        sinks.append(JsonlSink(tmp_path, label=f"{policy}/{tmp_path.name}"))
     tracer = Tracer(sinks=sinks)
     digest = run_scenario(
         seed=seed, policy=policy, repetitions=2,
@@ -99,8 +103,9 @@ class TestTraceDeterminism:
         path_b = tmp_path / "b.jsonl"
         traced_run(policy, tmp_path=path_a)
         traced_run(policy, tmp_path=path_b)
-        body_a = path_a.read_text().splitlines()[1:]
-        body_b = path_b.read_text().splitlines()[1:]
+        header_a, *body_a = path_a.read_text().splitlines()
+        header_b, *body_b = path_b.read_text().splitlines()
+        assert header_a != header_b  # the labels differ; diff_traces exempts them
         assert body_a == body_b
         assert len(body_a) > 100
         assert diff_traces(path_a, path_b) == []
@@ -114,13 +119,15 @@ class TestTraceDeterminism:
 
 
 #: traced runs whose every JSONL line is checked against the reference
-#: encoding, with the categories each must emit: PR-DRB on the pinned
-#: mesh:8 hot-spot, notified-adaptive on the dragonfly under router
-#: notification, and one fault-campaign cell (whose ``fault.*`` records
-#: carry a list value).
+#: encoding, with the categories and event names each must emit: PR-DRB
+#: on the pinned mesh:8 hot-spot (zone transitions, notifications and
+#: solution-DB hits: the paper's decision chain), notified-adaptive on
+#: the dragonfly under router notification, and one fault-campaign cell
+#: (whose ``fault.*`` records carry a list value).
 ENCODED_RUNS = [
     pytest.param(pinned_hotspot_spec("pr-drb", repetitions=3), 30_000,
-                 {"zone", "msp", "prediction", "congestion"}, id="mesh8-pr-drb"),
+                 {"zone", "msp", "prediction", "congestion",
+                  "prediction.hit", "zone.transition", "notify.send"}, id="mesh8-pr-drb"),
     pytest.param(pinned_dragonfly_spec("notified-adaptive"), None,
                  {"packet", "notify", "router", "zone"}, id="dragonfly-notified-adaptive"),
     pytest.param(FaultCampaignSpec(seed=0).scenario("pr-drb"), None,
@@ -129,9 +136,9 @@ ENCODED_RUNS = [
 
 
 class TestTracedRunRecords:
-    @pytest.mark.parametrize("spec, max_events, categories", ENCODED_RUNS)
+    @pytest.mark.parametrize("spec, max_events, emitted", ENCODED_RUNS)
     def test_every_line_is_the_reference_encoding(
-        self, spec, max_events, categories, tmp_path
+        self, spec, max_events, emitted, tmp_path
     ):
         path = tmp_path / "run.jsonl"
         memory = MemorySink()
@@ -142,7 +149,7 @@ class TestTracedRunRecords:
         tracer.close()
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
         assert lines == [_encode(r.to_json_obj()) + "\n" for r in memory.records]
-        assert categories <= {r.category for r in memory.records}
+        assert emitted <= {r.category for r in memory.records} | {r.name for r in memory.records}
 
     def test_counting_sink_counts_equal_the_record_counts(self):
         metrics = MetricsRegistry()
@@ -183,10 +190,14 @@ class TestEventCoverage:
         categories = {r.category for r in records}
         assert categories <= {"packet", "msg", "router"}
 
-    def test_tracks_cover_flows_and_routers(self):
+    def test_tracks_cover_flows_and_routers(self, tmp_path):
         _, records = traced_run("pr-drb")
         kinds = {r.track[0] for r in records}
         assert {"flow", "router"} <= kinds
+        # Tracks become Perfetto processes and threads; the export loads.
+        write_perfetto(tmp_path / "trace.json", records, label="pr-drb")
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        assert events and all({"ph", "pid", "tid"} <= event.keys() for event in events)
 
 
 class TestFabricMetrics:

@@ -1,4 +1,4 @@
-"""``python -m repro.parallel`` CLI: run, status, cache, verify."""
+"""``python -m repro.parallel`` CLI: run, status, cache."""
 
 import json
 
@@ -90,7 +90,6 @@ class TestStatusAndCache:
 
 
 class TestBadInputs:
-    @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("argv, flag", [
         (("--seeds", "abc"), "--seeds"),
         (("--seeds", "0"), "--seeds"),
@@ -102,20 +101,10 @@ class TestBadInputs:
         (("--workers", "1", "--timeout", "0.001"), "--timeout"),
     ])
     def test_bad_value_is_a_usage_error_naming_the_flag(
-        self, command, argv, flag, capsys, monkeypatch, tmp_path
+        self, argv, flag, capsys, monkeypatch, tmp_path
     ):
         monkeypatch.chdir(tmp_path)  # a sweep that ran anyway caches here
         with pytest.raises(SystemExit) as exit_info:
-            run_cli(command, *argv)
+            run_cli("run", *argv)
         assert exit_info.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
-
-
-@pytest.mark.slow
-class TestVerify:
-    def test_verify_serial_vs_parallel(self, capsys):
-        assert run_cli(
-            "verify", "--kind", "replay", "--policies", "pr-drb",
-            "--seeds", "1", "--repetitions", "2", "--workers", "2",
-        ) == 0
-        assert "DETERMINISTIC" in capsys.readouterr().out

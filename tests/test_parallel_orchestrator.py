@@ -142,7 +142,7 @@ class TestCaching:
 @pytest.mark.slow
 class TestPooledSweep:
     def test_parallel_digests_bit_identical_to_serial(self):
-        tasks = [replay_task("pr-drb", 0), replay_task("pr-drb", 1)]
+        tasks = [replay_task(policy, seed) for policy in ("pr-drb", "drb") for seed in (0, 1)]
         serial = run_sweep(tasks, SweepConfig(code_version=VERSION))
         parallel = run_sweep(
             tasks, SweepConfig(workers=2, code_version=VERSION)

@@ -16,7 +16,19 @@ from repro.routing import (
     registered_policies,
 )
 from repro.routing.drb import DRBConfig
-from repro.routing.registry import _REGISTRY, config_factory
+from repro.routing.registry import _NO_RNG, _REGISTRY, config_factory
+
+
+@pytest.fixture(autouse=True)
+def _registry_restored():
+    """A policy a test registers leaves the global registry with it, so
+    later tests (the digest gate's every-policy check) never see it."""
+    registry, no_rng = dict(_REGISTRY), set(_NO_RNG)
+    yield
+    _REGISTRY.clear()
+    _REGISTRY.update(registry)
+    _NO_RNG.clear()
+    _NO_RNG.update(no_rng)
 
 
 def test_builtin_family_is_registered():

@@ -235,6 +235,11 @@ class TestEndToEnd:
             _post(base, "/jobs", {"seeds": []})
         assert err.value.code == 400
         assert "seeds" in json.loads(err.value.read())["error"]
+        # a field the expansion would not read is a 400 naming it
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/jobs", {**SPEC, "ack_loss": 0.2})
+        assert err.value.code == 400
+        assert "ack_loss" in json.loads(err.value.read())["error"]
 
     @pytest.mark.parametrize("body, field", [
         ({"kind": "fault", "ack_loss": 2.0}, "ack_loss"),

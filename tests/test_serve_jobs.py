@@ -156,6 +156,16 @@ class TestExpandGrid:
             ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 16, "halo_bytes": 3}}},
              "'app_args': pop builds a 0-byte message"),
             ({"kind": "app", "params": {**APP, "app_args": [16]}}, "'app_args'"),
+            # spec and task fields the expansion would not read: refused,
+            # never dropped
+            ({"bogus": 1}, "bogus"),
+            ({"kind": "replay", "ack_loss": 0.2}, "ack_loss"),
+            ({"kind": "hotspot", "mesh_side": 8, "params": HOTSPOT}, "mesh_side"),
+            ({"kind": "pattern", "repetitions": 2, "params": PATTERN}, "repetitions"),
+            ({"kind": "app", "ack_loss": 0.1, "params": APP}, "ack_loss"),
+            ({"tasks": [{"kind": "replay", "parms": {"policy": "drb", "seed": 5}}]},
+             r"tasks\[0\].*parms"),
+            ({"tasks": [{"kind": "replay"}], "seeds": 2}, "seeds"),
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
