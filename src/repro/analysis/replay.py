@@ -51,6 +51,7 @@ __all__ = [
     "ScenarioSpec",
     "APP_TIMEOUT_S",
     "CELL_FIELDS",
+    "RECORDER_WINDOW_S",
     "app_spec",
     "build",
     "cell_params",
@@ -270,6 +271,8 @@ def replay_spec(
 
 #: the longest simulated time an application cell may take to finish.
 APP_TIMEOUT_S = 60.0
+#: the latency-series window of every spine-built run (and of EXT-mapping's runs).
+RECORDER_WINDOW_S = 2.5e-5
 
 
 def app_spec(
@@ -598,7 +601,7 @@ def build(
     net = build_network(
         spec.topology, spec.policy, NetworkConfig(virtual_channels=spec.virtual_channels),
         spec.notification,
-        StatsRecorder(window_s=2.5e-5, track_router_series=spec.router_series),
+        StatsRecorder(window_s=RECORDER_WINDOW_S, track_router_series=spec.router_series),
         rng=streams.stream("routing"),
     )
     sim, fabric = net.sim, net.fabric

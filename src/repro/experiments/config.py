@@ -50,8 +50,6 @@ class Scale:
     app_ranks: int
     #: iteration knob passed to trace synthesizers.
     app_iterations: int
-    #: time-series window.
-    window_s: float = 2.5e-5
 
 
 QUICK = Scale(name="quick", repetitions=3, seeds=(0,), app_ranks=16, app_iterations=1)

@@ -200,9 +200,6 @@ def run_policies(
     seeds: Sequence[int] = (0,),
     *,
     executor=None,
-    tracer=None,
-    metrics=None,
-    metrics_cadence_s=None,
 ) -> dict[str, PolicyRun]:
     """Run ``spec`` under every policy and seed; average per policy (§4.3).
 
@@ -212,18 +209,7 @@ def run_policies(
     :class:`repro.parallel.SweepExecutor`) fans the cells out as
     ``hotspot``/``pattern``/``app`` tasks (:func:`repro.analysis.replay.cell_params`);
     results are bit-identical to the inline loop.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) is wired
-    into every inline cell via :func:`repro.obs.instrument`; with
-    ``metrics_cadence_s`` it also snapshots on that sim-time cadence.
-    Registries hold live callables, so they are inline-only: combining
-    ``metrics`` with ``executor`` raises.
     """
-    if metrics is not None and executor is not None:
-        raise ValueError(
-            "metrics registries cannot cross the process boundary; "
-            "drop executor= or attach metrics via the sweep's metrics_hook"
-        )
     cells = [replace(spec, policy=name, seed=seed) for name in policies for seed in seeds]
     if executor is not None and len(cells) > 1:
         from repro.parallel.tasks import SimTask
@@ -234,7 +220,7 @@ def run_policies(
             tasks.append(SimTask(kind, params, label=f"{kind}:{cell.policy}/seed{cell.seed}"))
         runs = [PolicyRun.from_dict(payload) for payload in executor.run_strict(tasks)]
     else:
-        runs = [run_cell(cell, tracer, metrics, metrics_cadence_s) for cell in cells]
+        runs = [run_cell(cell) for cell in cells]
     return {
         name: _average_runs(runs[index * len(seeds):(index + 1) * len(seeds)])
         for index, name in enumerate(policies)

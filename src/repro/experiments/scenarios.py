@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.analysis.replay import ScenarioSpec, app_spec, build
+from repro.analysis.replay import RECORDER_WINDOW_S, ScenarioSpec, app_spec, build
 from repro.apps.commmatrix import CommMatrixStats
 from repro.apps.lammps import lammps_chain_trace, lammps_comb_trace
 from repro.apps.nas import nas_lu_trace, nas_mg_trace
@@ -58,11 +58,7 @@ DRAGONFLY_SPEC = "dragonfly:4,2,2"
 
 
 def _hotspot_spec(scale: Scale, **changes) -> ScenarioSpec:
-    """The §4.5 mesh hot-spot cell, with ``changes`` to its fields.
-
-    Its recorder window is the spine's 2.5e-5 s, the ``window_s`` of
-    both scales.
-    """
+    """The §4.5 mesh hot-spot cell, with ``changes`` to its fields."""
     return replace(
         ScenarioSpec(
             policy="pr-drb", seed=scale.seeds[0], topology=MESH_SPEC,
@@ -1064,7 +1060,7 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     }
     latencies = {}
     for label, mapping in mappings.items():
-        rec = StatsRecorder(window_s=scale.window_s)
+        rec = StatsRecorder(window_s=RECORDER_WINDOW_S)
         net = build_network(_app_topology(scale), "deterministic", recorder=rec)
         runtime = TraceRuntime(net.fabric, trace, rank_to_host=mapping)
         exec_time = runtime.run(timeout_s=60.0)

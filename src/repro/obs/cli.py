@@ -187,7 +187,7 @@ def tail_trace(
     pending = ""
     number = 0
     with open(path, "r", encoding="utf-8") as fh:
-        idle_since = time.monotonic()  # repro: allow(no-wall-clock)
+        idle_since = time.monotonic()
         while True:
             chunk = fh.readline()
             if chunk:
@@ -197,7 +197,7 @@ def tail_trace(
                     continue
                 line, pending = pending.strip(), ""
                 number += 1
-                idle_since = time.monotonic()  # repro: allow(no-wall-clock)
+                idle_since = time.monotonic()
                 if not line:
                     continue
                 record = parse_trace_line(line, f"{path}:{number}")
@@ -212,10 +212,7 @@ def tail_trace(
                 continue
             if not follow:
                 return printed
-            if (
-                idle_timeout_s is not None
-                and time.monotonic() - idle_since > idle_timeout_s  # repro: allow(no-wall-clock)
-            ):
+            if idle_timeout_s is not None and time.monotonic() - idle_since > idle_timeout_s:
                 return printed
             time.sleep(interval_s)
 

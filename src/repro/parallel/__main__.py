@@ -78,13 +78,16 @@ def _grid_tasks(parser: argparse.ArgumentParser, args) -> list[SimTask]:
             "mesh_side": args.mesh_side,
             "repetitions": args.repetitions,
         }
-        if args.kind == "fault":
+        if args.ack_loss is not None:
             spec["ack_loss"] = args.ack_loss
         return expand_grid(spec)
     except ValueError as exc:
         message = str(exc).removeprefix("params: ")
-        flag = next((f for name, f in _FLAGS.items() if f"'{name}'" in message), None)
-        parser.error(f"argument {flag}: {message}" if flag else message)
+        # the field a message names first is the refused one; an unknown
+        # field's message goes on to list the fields the grid takes
+        named = sorted((message.index(f"'{name}'"), flag) for name, flag in _FLAGS.items()
+                       if f"'{name}'" in message)
+        parser.error(f"argument {named[0][1]}: {message}" if named else message)
 
 
 def _progress_printer(event: dict) -> None:
@@ -215,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--mesh-side", type=int, default=4)
     run_parser.add_argument("--repetitions", type=int, default=3)
-    run_parser.add_argument("--ack-loss", type=float, default=0.1,
-                            help="fault sweeps: ACK loss probability")
+    run_parser.add_argument("--ack-loss", type=float, default=None,
+                            help="fault sweeps only: ACK loss probability (default: 0.1)")
     run_parser.add_argument("--workers", type=int, default=2)
     run_parser.add_argument("--timeout", type=float, default=None,
                             help="per-task wall-clock budget, seconds")

@@ -15,8 +15,8 @@ recording every failure event — transient or final — with its reason.
 
 Wall-clock readings in this module are confined to the supervision layer
 (timeouts, backoff, throughput reporting); they never feed a simulation,
-which is why the explicit ``# repro: allow(no-wall-clock)`` suppressions
-below are sound.
+which is why this module is on the wall-clock allowlist of
+``tests/test_determinism_sources.py``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ __all__ = [
 
 ProgressHook = Callable[[dict], None]
 
+#: a pooled cell's first retry waits this long; the wait doubles per
+#: attempt, capped at BACKOFF_CAP_S.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -56,9 +61,6 @@ class SweepConfig:
     timeout_s: Optional[float] = None
     #: retry budget per cell *beyond* the first attempt.
     max_retries: int = 3
-    #: first retry delay; doubles per attempt, capped below.
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
     #: cache directory; None disables caching entirely.
     cache_dir: Optional[str] = None
     #: cProfile each executed cell into the cache directory.
@@ -177,8 +179,8 @@ def _emit(progress: Optional[ProgressHook], payload: dict) -> None:
         progress(payload)
 
 
-def _backoff(config: SweepConfig, attempt: int) -> float:
-    return min(config.backoff_base_s * (2 ** max(attempt - 1, 0)), config.backoff_cap_s)
+def _backoff(attempt: int) -> float:
+    return min(BACKOFF_BASE_S * (2 ** max(attempt - 1, 0)), BACKOFF_CAP_S)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -235,7 +237,7 @@ def run_sweep(
 
     outcomes: dict[str, TaskOutcome] = {}
     failures: list[FailureRecord] = []
-    start = time.monotonic()  # repro: allow(no-wall-clock)
+    start = time.monotonic()
 
     # Cache pass: anything already computed under this code version is
     # answered without running a single simulation.
@@ -275,7 +277,7 @@ def run_sweep(
             task=cell.task, key=cell.key, status="ok",
             attempts=cell.attempts, result=result, wall_s=wall_s,
         )
-        elapsed = time.monotonic() - start  # repro: allow(no-wall-clock)
+        elapsed = time.monotonic() - start
         _emit(progress, {
             "event": "done", "key": cell.key, "label": cell.task.display(),
             "completed": len(outcomes), "total": len(cells),
@@ -316,7 +318,7 @@ def run_sweep(
             record_success, record_failure,
         )
 
-    wall_s = time.monotonic() - start  # repro: allow(no-wall-clock)
+    wall_s = time.monotonic() - start
     report = SweepReport(
         outcomes=[outcomes[cell.key] for cell in cells],
         index_of=index_of,
@@ -360,7 +362,7 @@ def _run_inline(
     while queue:
         cell = queue.pop(0)
         cell.attempts += 1
-        t0 = time.monotonic()  # repro: allow(no-wall-clock)
+        t0 = time.monotonic()
         try:
             result = execute_task(
                 cell.task,
@@ -373,7 +375,7 @@ def _run_inline(
             if record_failure(cell, "error", f"{type(exc).__name__}: {exc}"):
                 queue.append(cell)
             continue
-        wall = time.monotonic() - t0  # repro: allow(no-wall-clock)
+        wall = time.monotonic() - t0
         record_success(cell, result, wall)
 
 
@@ -394,7 +396,7 @@ def _run_pooled(
     in_flight: dict[Future, _Cell] = {}
     try:
         while queue or in_flight:
-            now = time.monotonic()  # repro: allow(no-wall-clock)
+            now = time.monotonic()
             # Submit every ready cell; the pool queues beyond #workers.
             still_waiting: list[_Cell] = []
             for cell in queue:
@@ -430,18 +432,18 @@ def _run_pooled(
                         queue.append(cell)
                 except Exception as exc:  # noqa: BLE001 - ledgered
                     if record_failure(cell, "error", f"{type(exc).__name__}: {exc}"):
-                        now = time.monotonic()  # repro: allow(no-wall-clock)
-                        cell.not_before = now + _backoff(config, cell.attempts)
+                        now = time.monotonic()
+                        cell.not_before = now + _backoff(cell.attempts)
                         queue.append(cell)
                 else:
-                    wall = time.monotonic() - cell.started  # repro: allow(no-wall-clock)
+                    wall = time.monotonic() - cell.started
                     record_success(cell, result, wall)
 
             # Per-task timeout: kill the pool (there is no per-future
             # cancel for a running worker) and requeue the survivors.
             timed_out: list[_Cell] = []
             if config.timeout_s is not None and in_flight and not broken:
-                now = time.monotonic()  # repro: allow(no-wall-clock)
+                now = time.monotonic()
                 timed_out = [
                     cell for cell in in_flight.values()
                     if now - cell.started > config.timeout_s

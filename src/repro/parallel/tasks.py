@@ -28,6 +28,7 @@ from typing import Any, Mapping, Optional
 from repro.topology import make_topology
 
 __all__ = [
+    "MAX_CELLS",
     "SCENARIO_KINDS",
     "SERVABLE_KINDS",
     "SimTask",
@@ -168,6 +169,9 @@ _GRID_FIELDS = ("kind", "policies", "seeds", "params")
 _KNOBS = {"replay": ("mesh_side", "repetitions"),
           "fault": ("mesh_side", "repetitions", "ack_loss")}
 
+#: the most cells one job spec may expand to, checked before any is built.
+MAX_CELLS = 10_000
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -193,17 +197,25 @@ def _as_params(value, name: str) -> dict:
     return dict(value)
 
 
-def _parse_seeds(raw) -> list[int]:
+def _bound_cells(count: int, name: str) -> None:
+    if count > MAX_CELLS:
+        raise ValueError(f"{name!r}: the spec expands to {count:,} cells, "
+                         f"over the limit of {MAX_CELLS:,}")
+
+
+def _parse_seeds(raw, cells_per_seed: int) -> list[int]:
     """``4`` -> ``[0, 1, 2, 3]``; a non-empty list of seeds >= 0 passes
-    through."""
+    through, unless the grid would exceed :data:`MAX_CELLS`."""
     if _is_int(raw):
         if raw < 1:
             raise ValueError("'seeds': seed count must be >= 1")
+        _bound_cells(raw * cells_per_seed, "seeds")
         return list(range(raw))
     if not isinstance(raw, (list, tuple)) or not all(_is_int(seed) for seed in raw):
         raise ValueError(f"'seeds' must be an int or a list of ints, got {reprlib.repr(raw)}")
     if not raw or min(raw) < 0:
         raise ValueError(f"'seeds' must be a non-empty list of seeds >= 0, got {reprlib.repr(raw)}")
+    _bound_cells(len(raw) * cells_per_seed, "seeds")
     return list(raw)
 
 
@@ -234,9 +246,10 @@ def expand_grid(spec: dict) -> list[SimTask]:
     the parser the worker runs, so a missing, unknown or mistyped field,
     or a value no run could complete, fails here; so does a spec or task
     field the expansion would not read (``ack_loss`` on a ``replay``
-    grid, ``mesh_side`` on a ``hotspot`` one).  Raises ``ValueError``
-    naming the field for anything malformed — the HTTP layer turns that
-    into a 400 so bad specs never reach the queue.
+    grid, ``mesh_side`` on a ``hotspot`` one), and so does a spec of more
+    than :data:`MAX_CELLS` cells, before any cell is built.  Raises
+    ``ValueError`` naming the field for anything malformed — the HTTP
+    layer turns that into a 400 so bad specs never reach the queue.
     """
     from repro.analysis.replay import _known_fields
 
@@ -248,6 +261,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
         raw_tasks = spec["tasks"]
         if not isinstance(raw_tasks, list) or not raw_tasks:
             raise ValueError("'tasks' must be a non-empty list")
+        _bound_cells(len(raw_tasks), "tasks")
         tasks = []
         for index, raw in enumerate(raw_tasks):
             if not isinstance(raw, dict) or "kind" not in raw:
@@ -269,7 +283,7 @@ def expand_grid(spec: dict) -> list[SimTask]:
         raise ValueError(f"kind {kind!r} not servable; allowed: {list(SERVABLE_KINDS)}")
     _known_fields(spec, _GRID_FIELDS + _KNOBS.get(kind, ()), f"{kind} grid")
     policies = _parse_policies(spec.get("policies", _DEFAULT_POLICIES))
-    seeds = _parse_seeds(spec.get("seeds", 1))
+    seeds = _parse_seeds(spec.get("seeds", 1), len(policies))
     extra = _as_params(spec.get("params", {}), "params")
     scenario = {
         "mesh_side": _int_field(spec, "mesh_side", 4),

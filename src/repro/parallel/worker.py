@@ -4,10 +4,12 @@ Every registered task kind builds a *fresh* simulation from its params —
 its own :class:`~repro.sim.engine.Simulator`, its own
 :class:`~repro.sim.rng.RandomStreams` from the task's seed — and returns
 a JSON-serializable result dict.  Nothing in this module reads the wall
-clock or ambient RNG: a task executed in a spawn-context worker process
-is bit-identical to the same task executed inline in the parent (the
-``repro.analysis`` lints and the parallel-equivalence CI smoke both
-enforce this).
+clock or ambient RNG (``tests/test_determinism_sources.py`` refuses
+both): a task executed in a spawn-context worker process is
+bit-identical to the same task executed inline in the parent.
+``tests/test_parallel_orchestrator.py::TestPooledSweep::test_parallel_digests_bit_identical_to_serial``
+and CI's perf-smoke ``benchmarks/bench_parallel_orchestrator.py`` step
+(serial == pool == cache) hold that.
 
 Task kinds
 ----------

@@ -37,8 +37,9 @@ terminate deterministically.  A stream always opens with a synthetic
 the service stats), so late subscribers see terminal jobs immediately.
 
 Wall-clock readings here are confined to connection plumbing (idle
-timeouts, heartbeat pacing) — they never feed a simulation, hence the
-explicit ``# repro: allow(no-wall-clock)`` suppressions.
+timeouts, heartbeat pacing) — they never feed a simulation, which is why
+this module is on the wall-clock allowlist of
+``tests/test_determinism_sources.py``.
 """
 
 from __future__ import annotations
@@ -252,11 +253,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._write_frame("state", 0, state)
 
             sent = 0
-            last_activity = time.monotonic()  # repro: allow(no-wall-clock)
+            last_activity = time.monotonic()
             last_beat = last_activity
             while limit is None or sent < limit:
                 event = sub.get(timeout=_POLL_S)
-                now = time.monotonic()  # repro: allow(no-wall-clock)
+                now = time.monotonic()
                 if event is None:
                     if idle_s is not None and now - last_activity > idle_s:
                         break

@@ -22,7 +22,9 @@ Policy x seed grid (mirrors the parallel CLI)::
 
 A field the expansion would not read is refused, never dropped: an
 unknown one, a knob another kind reads, or a ``tasks[i]`` key other
-than ``kind``, ``params`` and ``label``.
+than ``kind``, ``params`` and ``label``.  So is a spec of more than
+:data:`~repro.parallel.tasks.MAX_CELLS` (10,000) cells, naming ``seeds``
+or ``tasks``, before any cell is built.
 
 Job identity is content-addressed like everything else in the stack:
 :func:`grid_key` hashes the sorted cell keys (which already fold in the

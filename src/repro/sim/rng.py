@@ -40,10 +40,9 @@ def seeded_generator(seed: int = 0) -> np.random.Generator:
     Components that cannot be handed a :class:`RandomStreams` (or that must
     stay bit-compatible with the historical ``np.random.default_rng(seed)``
     defaults) call this instead of reaching for ``numpy.random`` directly.
-    The ``no-ambient-rng`` lint (:mod:`repro.analysis`) forbids ambient
-    ``np.random.default_rng`` / ``random`` usage everywhere outside this
-    module, so every random draw in the simulator is traceable to an
-    explicit seed.
+    ``tests/test_determinism_sources.py`` refuses ``np.random.*`` calls
+    everywhere outside this module, and ``random`` imports everywhere, so
+    every random draw in the simulator is traceable to an explicit seed.
     """
     return np.random.default_rng(seed)
 
@@ -53,14 +52,11 @@ def stable_hash(name: str) -> int:
 
     Python's builtin ``hash()`` is salted per process (PYTHONHASHSEED), so
     it must never feed stream derivation, congestion signatures, or any
-    other value that influences simulation behaviour — the
-    ``no-salted-hash`` lint enforces this.  Use this helper instead.
+    other value that influences simulation behaviour;
+    ``tests/test_determinism_sources.py`` refuses every call to it under
+    ``src/repro``.  Use this helper instead.
     """
     value = 2166136261
     for byte in name.encode("utf-8"):
         value = ((value ^ byte) * 16777619) & 0xFFFFFFFF
     return value
-
-
-#: Backwards-compatible alias (pre-analysis-subsystem name).
-_stable_hash = stable_hash

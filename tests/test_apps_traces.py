@@ -30,6 +30,8 @@ def replay(trace, timeout=5.0):
 def test_all_traces_replay_to_completion(name):
     kwargs = {"iterations": 1} if name not in ("pop",) else {"steps": 1}
     trace = APP_TRACES[name](num_ranks=16, **kwargs)
+    # a trace factory is a function of its arguments: no unseeded draw
+    assert APP_TRACES[name](num_ranks=16, **kwargs) == trace
     rt, fabric, t = replay(trace)
     assert rt.done
     assert t > 0

@@ -126,15 +126,6 @@ def test_sweep_cells_parse_and_match_serial(kind):
     }
 
 
-def test_metrics_refuse_an_executor():
-    from repro.obs import MetricsRegistry
-    from repro.parallel import SweepConfig, SweepExecutor
-
-    with pytest.raises(ValueError, match="process boundary"):
-        run_policies(_cell(), ["drb"], metrics=MetricsRegistry(),
-                     executor=SweepExecutor(SweepConfig(code_version="test")))
-
-
 def test_app_cells_report_execution_time():
     runs = run_policies(_app_cell(), ["deterministic", "drb"])
     for r in runs.values():

@@ -280,9 +280,9 @@ def test_sigterm_mid_sweep_resumes_cell_by_cell_from_the_cache(tmp_path):
     cache = ResultCache(cache_dir)
     env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_CODE_VERSION="resumetest0000001")
     proc = subprocess.Popen(_sweep_cli(cache_dir), env=env, stdout=subprocess.DEVNULL)
-    deadline = time.monotonic() + 120  # repro: allow(no-wall-clock)
+    deadline = time.monotonic() + 120
     while not any(cache_dir.glob("??/*.json")):
-        if proc.poll() is not None or time.monotonic() > deadline:  # repro: allow(no-wall-clock)
+        if proc.poll() is not None or time.monotonic() > deadline:
             proc.kill()
             pytest.fail("the sweep wrote no cache entry before it ended")
         time.sleep(0.005)

@@ -99,6 +99,7 @@ class TestBadInputs:
         (("--retries", "-1"), "--retries"),
         (("--kind", "fault", "--ack-loss", "2"), "--ack-loss"),
         (("--workers", "1", "--timeout", "0.001"), "--timeout"),
+        (("--kind", "replay", "--ack-loss", "0.5"), "--ack-loss"),
     ])
     def test_bad_value_is_a_usage_error_naming_the_flag(
         self, argv, flag, capsys, monkeypatch, tmp_path

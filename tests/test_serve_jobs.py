@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.analysis.replay import scenario_spec
+from repro.parallel.tasks import MAX_CELLS
 from repro.serve.jobs import Job, JobStore, expand_grid, grid_key
 
 
@@ -32,6 +33,10 @@ class TestExpandGrid:
     def test_seed_count_expands_to_range(self):
         tasks = expand_grid({"kind": "replay", "policies": ["drb"], "seeds": 3})
         assert [t.params["seed"] for t in tasks] == [0, 1, 2]
+
+    def test_a_grid_of_max_cells_is_accepted(self):
+        tasks = expand_grid({"policies": ["drb", "pr-drb"], "seeds": MAX_CELLS // 2})
+        assert len(tasks) == MAX_CELLS
 
     def test_fault_grid_nests_spec(self):
         tasks = expand_grid({
@@ -166,6 +171,10 @@ class TestExpandGrid:
             ({"tasks": [{"kind": "replay", "parms": {"policy": "drb", "seed": 5}}]},
              r"tasks\[0\].*parms"),
             ({"tasks": [{"kind": "replay"}], "seeds": 2}, "seeds"),
+            # more cells than one job may hold: refused before any is built
+            ({"seeds": 10**9}, "'seeds'.*4,000,000,000 cells"),  # 4 default policies
+            ({"policies": ["drb", "pr-drb"], "seeds": list(range(5001))}, "'seeds'.*10,002"),
+            ({"tasks": [{"kind": "replay"}] * (MAX_CELLS + 1)}, "'tasks'.*10,001 cells"),
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
