@@ -129,16 +129,6 @@ class DebugInvariants:
                         f"occupancy {port.occupancy_bytes} (credits exceed "
                         f"buffer size {cfg.buffer_size_bytes})"
                     )
-                by_flow: dict = {}
-                for _, flow, size in port.queue:
-                    by_flow[flow] = by_flow.get(flow, 0) + size
-                if port.flow_bytes != by_flow:
-                    self._fail(
-                        f"router {router.router_id} port ->"
-                        f"{port.target_kind}:{port.target}: incremental CFD "
-                        f"accounting flow_bytes={port.flow_bytes} disagrees "
-                        f"with queue contents {by_flow}"
-                    )
 
     def _in_flight_data(self, current_event: Optional[Event]) -> int:
         """Count DATA packets with a pending arrival/delivery somewhere."""

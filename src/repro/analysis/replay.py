@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import math
 import numbers
 import reprlib
 import struct
@@ -51,6 +52,7 @@ __all__ = [
     "ScenarioSpec",
     "APP_TIMEOUT_S",
     "CELL_FIELDS",
+    "MAX_APP_REPEATS",
     "RECORDER_WINDOW_S",
     "app_spec",
     "build",
@@ -271,6 +273,12 @@ def replay_spec(
 
 #: the longest simulated time an application cell may take to finish.
 APP_TIMEOUT_S = 60.0
+#: the most repeated rounds an app cell's trace may hold: its ``iterations``,
+#: or POP's ``steps`` x ``solver_iterations``.  FULL ships at most 6
+#: iterations and POP 3 x 6; POP's defaults are 4 x 6.
+MAX_APP_REPEATS = 24
+#: the trace-factory arguments whose product :data:`MAX_APP_REPEATS` bounds.
+_REPEAT_ARGS = ("iterations", "steps", "solver_iterations")
 #: the latency-series window of every spine-built run (and of EXT-mapping's runs).
 RECORDER_WINDOW_S = 2.5e-5
 
@@ -443,7 +451,8 @@ def _check_values(spec: ScenarioSpec) -> None:
 def _check_app(spec: ScenarioSpec, hosts: int) -> None:
     """Refuse an unknown app, an argument its trace factory does not take
     (``seed`` and ``rng`` included), a value not of the argument's
-    annotated type, and arguments whose trace no run could complete: the
+    annotated type, more rounds than :data:`MAX_APP_REPEATS` (before any
+    trace is built), and arguments whose trace no run could complete: the
     factory fails on them, the trace holds a message under one byte, or
     its ranks are none or more than the topology's hosts."""
     from repro.apps import APP_TRACES
@@ -466,6 +475,12 @@ def _check_app(spec: ScenarioSpec, hosts: int) -> None:
     off_hosts = f"'app_args': num_ranks must be from 1 to the {hosts} hosts on {spec.topology}"
     if args.get("num_ranks", 1) > hosts:  # refused before a trace that wide is built
         raise ValueError(f"{off_hosts}, got {args['num_ranks']}")
+    defaults = inspect.signature(factory).parameters
+    repeats = {name: args.get(name, defaults[name].default)
+               for name in _REPEAT_ARGS if name in defaults}
+    if math.prod(max(1, value or 1) for value in repeats.values()) > MAX_APP_REPEATS:
+        raise ValueError(f"'app_args': {app}'s {' x '.join(repeats)} must be at most "
+                         f"{MAX_APP_REPEATS}, got {' x '.join(map(str, repeats.values()))}")
     try:
         trace = _app_trace(spec)
     except Exception as exc:  # the factory's own refusal, whatever its type

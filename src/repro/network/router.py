@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 from repro.network.config import NetworkConfig
@@ -38,7 +39,7 @@ class OutputPort:
 
     ``queue`` holds ``(depart_time, flow, size_bytes)`` tuples for packets
     that have been accepted but not yet fully transmitted; the CFD module
-    inspects it to identify contending flows.
+    sums it per flow when it fires to identify contending flows.
     """
 
     router: int
@@ -50,11 +51,10 @@ class OutputPort:
     queue: deque = field(default_factory=deque)
     #: bytes currently queued (buffer-occupancy bookkeeping).
     occupancy_bytes: int = 0
-    #: per-flow queued bytes, maintained incrementally alongside ``queue``
-    #: (add on occupy, subtract on purge, drop at zero) so the CFD module
-    #: never rescans the queue.  Integer bytes, so the running sums are
-    #: exact and identical to a from-scratch rebuild.
-    flow_bytes: dict = field(default_factory=dict)
+    #: ``queue`` as of the CFD module's last read, and its queued bytes
+    #: per flow; only a read updates them (:meth:`Router._contending_flows`).
+    cfd_seen: list = field(default_factory=list)
+    cfd_shares: dict = field(default_factory=dict)
     #: cumulative contention statistics.
     total_wait_s: float = 0.0
     packets: int = 0
@@ -152,17 +152,10 @@ class Router:
 
         # --- occupy (inlined) ---
         queue = port.queue
-        flow_bytes = port.flow_bytes
         if queue and queue[0][0] <= now:
             popleft = queue.popleft
             while queue and queue[0][0] <= now:
-                _, f, s = popleft()
-                port.occupancy_bytes -= s
-                remaining = flow_bytes[f] - s
-                if remaining:
-                    flow_bytes[f] = remaining
-                else:
-                    del flow_bytes[f]
+                port.occupancy_bytes -= popleft()[2]
         if port.occupancy_bytes + size > self._buffer_size:
             port.overflows += 1
         flow = packet._flow
@@ -170,7 +163,6 @@ class Router:
             flow = packet._flow = ContendingFlow(packet.src, packet.dst)
         queue.append((depart, flow, size))
         port.occupancy_bytes += size
-        flow_bytes[flow] = flow_bytes.get(flow, 0) + size
         # depart_start >= busy and tx >= 0, so this never moves it back.
         port.busy_until = depart
 
@@ -213,8 +205,6 @@ class Router:
         flow = packet.flow()
         queue.append((depart, flow, size))
         port.occupancy_bytes += size
-        flow_bytes = port.flow_bytes
-        flow_bytes[flow] = flow_bytes.get(flow, 0) + size
         if depart > port.busy_until:
             port.busy_until = depart
 
@@ -301,31 +291,48 @@ class Router:
     # ------------------------------------------------------------------
     def _purge(self, port: OutputPort, now: float) -> None:
         queue = port.queue
-        flow_bytes = port.flow_bytes
         while queue and queue[0][0] <= now:
-            _, flow, size = queue.popleft()
-            port.occupancy_bytes -= size
-            remaining = flow_bytes[flow] - size
-            if remaining:
-                flow_bytes[flow] = remaining
-            else:
-                del flow_bytes[flow]
+            port.occupancy_bytes -= queue.popleft()[2]
 
     def _contending_flows(self, port: OutputPort, packet: Packet) -> list[ContendingFlow]:
         """Dominant flows currently sharing ``port``'s queue (§3.2.7).
 
-        Flows are ranked by queued bytes (their contribution to the
-        congestion); at most ``max_contending_flows`` unique pairs are
-        reported, always including the suffering packet's own flow.
+        Sums queued bytes per flow over ``port.queue``, which both callers
+        have just purged at ``now`` and appended the suffering packet to.
+        Flows holding less than ``cfd_min_share`` of the queued bytes are
+        dropped, the rest are ranked by bytes (their contribution to the
+        congestion), ties broken by flow, and at most
+        ``max_contending_flows`` are reported; when none is left, the
+        suffering packet's own flow is.  The ranking key is a total order,
+        so the result does not depend on queue order.
 
-        Reads the incrementally maintained ``port.flow_bytes`` map instead
-        of rescanning the queue; the ranking key is a total order, so the
-        result is independent of dict insertion order.
+        The sums carry over from the port's previous read: the queue is
+        FIFO, so the entries purged since then lead ``port.cfd_seen`` and
+        the entries appended since trail ``port.queue``.  A read costs the
+        queue's turnover since the last one plus a C-level copy, not a
+        Python pass over a queue that a saturated port holds by the
+        thousand.
         """
-        shares: dict[ContendingFlow, int] = port.flow_bytes
+        queue, shares = port.queue, port.cfd_shares
+        head = queue[0] if queue else None
+        gone = 0
+        for entry in port.cfd_seen:
+            if entry is head:
+                break
+            _, flow, size = entry
+            left = shares[flow] - size
+            if left:
+                shares[flow] = left
+            else:
+                del shares[flow]
+            gone += 1
+        appended = len(queue) - len(port.cfd_seen) + gone
+        for _, flow, size in islice(reversed(queue), appended):
+            shares[flow] = shares.get(flow, 0) + size
+        port.cfd_seen = list(queue)
         if packet.flow() not in shares:
             # Rare: the sufferer already fully drained from the queue.
-            # Work on a copy so the live accounting stays untouched.
+            # Work on a copy so the carried sums stay those of the queue.
             shares = dict(shares)
             shares[packet.flow()] = packet.size_bytes
         total = sum(shares.values())

@@ -1,10 +1,25 @@
 """Tests for the router forwarding pipeline (§3.3.2)."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.replay import (
+    RECORDER_WINDOW_S,
+    EventTraceDigest,
+    build,
+    digest_metrics,
+    finish,
+    replay_spec,
+)
+from repro.api import build_network
+from repro.metrics.recorder import StatsRecorder
 from repro.network.config import NetworkConfig
 from repro.network.packet import ACK, DATA, ContendingFlow, Packet
 from repro.network.router import CFD_COOLDOWN_S, Router
+from repro.sim.rng import RandomStreams
+from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
 
 
 def make_router(threshold=4e-6, handler=None):
@@ -159,3 +174,112 @@ def test_port_cache_reuse():
     router, _ = make_router()
     assert router.port_to("router", 1) is router.port_to("router", 1)
     assert router.port_to("host", 1) is not router.port_to("router", 1)
+
+
+# ---------------------------------------------------------------------------
+# _contending_flows against a reference written from §3.2.7's rule
+# ---------------------------------------------------------------------------
+_PAIRS = [(1, 5), (2, 5), (3, 7), (4, 7), (6, 2)]
+
+_hops = st.lists(
+    st.tuples(
+        st.integers(0, len(_PAIRS) - 1),
+        st.integers(1, NetworkConfig().packet_size_bytes),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e-5)),
+        st.booleans(),  # read the shares after this hop
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _reference_flows(entries, now, sufferer, min_share, limit):
+    """Bytes per flow over the entries still queued at ``now`` (the
+    sufferer's included), shares under ``min_share`` of the total
+    dropped, the rest ranked by bytes then flow and cut at ``limit``."""
+    shares = {}
+    for depart, flow, size in entries:
+        if depart > now:
+            shares[flow] = shares.get(flow, 0) + size
+    total = sum(shares.values())
+    kept = [(flow, b) for flow, b in shares.items() if b >= total * min_share]
+    kept.sort(key=lambda kv: (-kv[1], kv[0].src, kv[0].dst))
+    return [flow for flow, _ in kept[:limit]] or [sufferer]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hops=_hops,
+    min_share=st.sampled_from([0.0, 0.05, 0.12, 0.3, 0.5, 0.9]),
+    limit=st.integers(1, 4),
+)
+def test_contending_flows_match_the_reference(hops, min_share, limit):
+    router, cfg = make_router(threshold=1.0)  # CFD off; the test calls it
+    cfg.cfd_min_share = min_share
+    cfg.max_contending_flows = limit
+    port = router.port_to("router", 1)
+    entries, busy, now = [], 0.0, 0.0
+    for i, (pair, size, dt, read) in enumerate(hops):
+        now += dt
+        packet = pkt(*_PAIRS[pair], size=size)
+        router.forward(packet, port, now)
+        start = max(busy, now + cfg.routing_delay_s)
+        busy = start + size * 8 / cfg.link_bandwidth_bps
+        assert port.busy_until == busy
+        entries.append((busy, ContendingFlow(*_PAIRS[pair]), size))
+        if read or i == len(hops) - 1:
+            assert router._contending_flows(port, packet) == _reference_flows(
+                entries, now, packet.flow(), min_share, limit
+            )
+
+
+# ---------------------------------------------------------------------------
+# Digest pins for the hop paths repro.perf does not run: the VC
+# dispatcher's occupy/account and On/Off flow control's buffer check
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def cfd_reads(monkeypatch):
+    reads = []
+    cfd = Router._cfd
+
+    def counted(self, packet, port, wait, now):
+        reads.append(now)
+        cfd(self, packet, port, wait, now)
+
+    monkeypatch.setattr(Router, "_cfd", counted)
+    return reads
+
+
+def test_virtual_channel_hops_pin_their_digests(cfd_reads):
+    spec = dataclasses.replace(replay_spec("pr-drb", 0, 8, 3), virtual_channels=4)
+    scenario = build(spec, digest=True)
+    scenario.sim.run(until=scenario.until)
+    digest = finish(scenario)
+    assert len(cfd_reads) == 54
+    assert digest.events == "3cfcee4e94f3ce7026a6448d5aa335101a0621189e407e45a79d7780e50153f8"
+    assert digest.metrics == "a63beba915c62867f01c7cf6b3429d136e92f21d060f105a040f5525c37ab35e"
+
+
+def test_onoff_hops_pin_their_digests(cfd_reads):
+    spec = replay_spec("pr-drb", 0, 8, 3)
+    streams = RandomStreams(spec.seed)
+    net = build_network(
+        spec.topology, spec.policy,
+        NetworkConfig(flow_control="onoff", buffer_size_bytes=2048), "router",
+        StatsRecorder(window_s=RECORDER_WINDOW_S), rng=streams.stream("routing"),
+    )
+    trace = EventTraceDigest().install(net.sim)
+    schedule = spec.burst_schedule()
+    HotSpotWorkload(
+        net.fabric, [HotSpotFlow(src, dst) for src, dst in spec.flows],
+        rate_bps=spec.rate_bps, schedule=schedule, stop_s=schedule.end_time(),
+        noise_hosts=range(net.topology.num_hosts), noise_rate_bps=spec.noise_rate_bps,
+        rng=streams.stream("noise"), idle_rate_bps=spec.idle_rate_bps,
+    ).start()
+    net.sim.run(until=schedule.end_time() + spec.drain_s)
+    stalls = sum(port.stalls for router in net.fabric.routers for port in router.ports.values())
+    assert (stalls, len(cfd_reads)) == (65, 50)
+    assert trace.hexdigest() == "ef4d181f094a8e61664e9472a91f0ed7cc646c3c74711d17eb69a3eb57dd099a"
+    assert digest_metrics(net.fabric, net.recorder, net.policy) == (
+        "76dfc12a6336ea1d689e9ace5216cb49bca83c11b3a6165b60cb37c1a9832053"
+    )

@@ -279,6 +279,8 @@ class TestEndToEnd:
         ({"app": "nas-mg", "app_args": {"num_ranks": 16, "problem_class": "Z"}},
          "'app_args': nas-mg builds no trace"),
         ({"app_args": {"num_ranks": 16, "halo_bytes": -4}}, "'app_args': pop builds a -4-byte"),
+        ({"app_args": {"num_ranks": 16, "steps": 10**6}},
+         "'app_args': pop's steps x solver_iterations must be at most"),
     ])
     def test_bad_app_cells_are_a_400_naming_the_field(self, server, params, field):
         base, _service = server

@@ -1,11 +1,13 @@
 """Job grid expansion, content-addressed job identity, journal replay."""
 
+import functools
 import json
 import re
 
 import pytest
 
-from repro.analysis.replay import scenario_spec
+from repro.analysis.replay import MAX_APP_REPEATS, scenario_spec
+from repro.apps import APP_TRACES, pop_trace
 from repro.parallel.tasks import MAX_CELLS
 from repro.serve.jobs import Job, JobStore, expand_grid, grid_key
 
@@ -161,6 +163,16 @@ class TestExpandGrid:
             ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 16, "halo_bytes": 3}}},
              "'app_args': pop builds a 0-byte message"),
             ({"kind": "app", "params": {**APP, "app_args": [16]}}, "'app_args'"),
+            # more repeated rounds than MAX_APP_REPEATS: refused before
+            # the trace is built
+            ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 16, "steps": 400}}},
+             "'app_args': pop's steps x solver_iterations must be at most 24, got 400 x 6"),
+            ({"kind": "app", "params": {**APP, "app_args": {"num_ranks": 16, "steps": 10**9,
+                                                           "solver_iterations": 0}}},
+             "pop's steps x solver_iterations .* got 1000000000 x 0"),
+            ({"kind": "app", "params": {**APP, "app": "nas-ft",
+                                        "app_args": {"num_ranks": 16, "iterations": 25}}},
+             "'app_args': nas-ft's iterations must be at most 24, got 25"),
             # spec and task fields the expansion would not read: refused,
             # never dropped
             ({"bogus": 1}, "bogus"),
@@ -178,6 +190,25 @@ class TestExpandGrid:
         ]:
             with pytest.raises(ValueError, match=field):
                 expand_grid(spec)
+
+
+    def test_app_repeats_are_bounded_before_the_trace_is_built(self, monkeypatch):
+        built = []
+
+        @functools.wraps(pop_trace)
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return pop_trace(*args, **kwargs)
+
+        monkeypatch.setitem(APP_TRACES, "pop", counted)
+        at_bound = {"num_ranks": 16, "steps": MAX_APP_REPEATS // 6}  # 6 solver iterations
+        assert len(expand_grid({"kind": "app", "params": {**APP, "app_args": at_bound}})) == 4
+        assert built
+        built.clear()
+        over = {"num_ranks": 16, "steps": MAX_APP_REPEATS, "solver_iterations": 2}
+        with pytest.raises(ValueError, match="steps x solver_iterations"):
+            expand_grid({"kind": "app", "params": {**APP, "app_args": over}})
+        assert built == []
 
 
 class TestGridKey:
