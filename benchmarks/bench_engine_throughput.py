@@ -6,7 +6,9 @@ visible independently of the Chapter-4 experiments.
 
 Run standalone, it rates every policy the digest gate covers on the
 pinned congested hot-spot (:func:`repro.perf.pinned_hotspot_spec`) and
-writes ``BENCH_engine.json``:
+writes ``BENCH_engine.json``, each policy's median rate with its
+quartiles.  Every repeat runs all policies once, interleaved, so a slow
+phase of the host hits every policy alike:
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--quick] [--out PATH]
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from repro.perf import (
 from repro.routing.deterministic import DeterministicPolicy
 from repro.sim.engine import Simulator
 from repro.topology.mesh import Mesh2D
-from timing import measure, pin_to_one_cpu, write_report
+from timing import Timing, measure, pin_to_one_cpu, write_report
 
 #: the committed rate reference the watch compares against.
 REFERENCE = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
@@ -96,7 +99,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="shorter rating for CI: 60k events x 3 runs per policy, not 200k x 5",
+        help="shorter rating for CI: 60k events x 3 runs per policy, not 200k x 11",
     )
     parser.add_argument("--out", type=Path, default=Path("BENCH_engine.json"))
     args = parser.parse_args(argv)
@@ -109,14 +112,21 @@ def main(argv=None) -> int:
 
     reference = (json.loads(REFERENCE.read_text(encoding="utf-8"))["policies"]
                  if REFERENCE.exists() else {})
-    events, repeats = (60_000, 3) if args.quick else (200_000, 5)
+    events, repeats = (60_000, 3) if args.quick else (200_000, 11)
+    timings = {policy: Timing() for policy in DEFAULT_POLICIES}
+    for _ in range(repeats):
+        for policy in DEFAULT_POLICIES:
+            run = measure(lambda: build(pinned_hotspot_spec(policy)),
+                          repeats=1, max_events=events)
+            run.results.clear()  # 121 finished scenarios would hold GBs
+            timings[policy] += run
     policies, warnings = {}, []
-    for policy in DEFAULT_POLICIES:
-        timing = measure(lambda: build(pinned_hotspot_spec(policy)),
-                         repeats=repeats, max_events=events)
+    for policy, timing in timings.items():
         # Some policies finish the 50 bursts in fewer events than the cap.
         assert len(set(timing.events)) == 1, f"{policy}: same-seed runs diverged"
         policies[policy] = entry = timing.report()
+        q1, _, q3 = statistics.quantiles(timing.rates(), n=4)
+        entry["events_per_s_quartiles"] = [round(q1, 1), round(q3, 1)]
         known = reference.get(policy, {}).get("events_per_s")
         versus = "no reference rate"
         if known:
@@ -129,7 +139,7 @@ def main(argv=None) -> int:
                     "(host-dependent; not a failure)"
                 )
         print(f"{policy:<18} {entry['events_per_s']:>10.0f} ev/s "
-              f"(raw {entry['raw_events_per_s']:.0f}; {versus})")
+              f"[{q1:.0f}, {q3:.0f}] (raw {entry['raw_events_per_s']:.0f}; {versus})")
     write_report(args.out, {
         "benchmark": "engine_throughput",
         "workload": "repro.perf.pinned_hotspot_spec",

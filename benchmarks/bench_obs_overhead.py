@@ -1,16 +1,17 @@
 """Benchmark: observability overhead on the pinned hot-spot workload.
 
-Measures the same :mod:`repro.perf` pinned workload five ways — tracing
-off, tracing into a memory-backed :class:`~repro.obs.Tracer`, tracing
-plus a cadence-snapshotting :class:`~repro.obs.MetricsRegistry`, the
-same with the tracer writing a :class:`~repro.obs.JsonlSink` file (what
-a ``--trace`` user pays; the file is removed after each run, outside
-the timed region), and ``served`` (tracer + metrics whose snapshots
+Measures the same :mod:`repro.perf` pinned workload six ways — tracing
+off, a cadence-snapshotting :class:`~repro.obs.MetricsRegistry` alone
+(what the metrics cadence itself costs), tracing into a memory-backed
+:class:`~repro.obs.Tracer`, tracing plus metrics, the same with the
+tracer writing a :class:`~repro.obs.JsonlSink` file (what a ``--trace``
+user pays; the file is removed after each run, outside the timed
+region), and ``served`` (tracer + metrics whose snapshots
 publish into a live :class:`~repro.obs.MetricsBus` with one draining
 SSE-style subscriber — the full ``repro.serve`` telemetry plane) — and
 records the event-rate cost of each into ``BENCH_obs.json`` at the repo
 root.  Rates are the host-normalised medians of :mod:`timing`, with the
-five modes interleaved inside every repeat.  The serving plane must
+six modes interleaved inside every repeat.  The serving plane must
 cost < 10 % of the ``served`` leg: every served run sums the CPU the
 plane spends in it (each ``bus.publish``, timed by its thread's clock,
 plus the draining thread's own CPU) and divides it by the run's CPU, so
@@ -48,6 +49,7 @@ from timing import Timing, measure, pin_to_one_cpu, write_report
 #: given the path a JSONL trace may be written to.
 MODES = {
     "off": lambda _path: {},
+    "metrics": lambda _path: {"metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},
     "traced": lambda _path: {"tracer": Tracer(sinks=[MemorySink()])},
     "traced+metrics": lambda _path: {"tracer": Tracer(sinks=[MemorySink()]),
                                      "metrics": MetricsRegistry(), "metrics_cadence_s": 5e-5},

@@ -8,6 +8,7 @@ implicitly (routing decision time, link propagation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -60,20 +61,34 @@ class NetworkConfig:
 
     _FLOW_CONTROLS = ("none", "onoff")
 
+    _BANDWIDTHS = ("link_bandwidth_bps", "injection_bandwidth_bps")
+    _DURATIONS = ("routing_delay_s", "link_delay_s", "router_threshold_s")
+    _COUNTS = ("packet_size_bytes", "buffer_size_bytes", "ack_size_bytes",
+               "cut_through_header_bytes", "max_contending_flows", "virtual_channels")
+
     def __post_init__(self) -> None:
+        """Refuse, naming the field, a value no run can use.  A negative
+        delay would schedule into the past (the fabric's inlined hop
+        schedule relies on this check), and a size under one byte queues
+        an entry that holds nothing."""
         if self.injection_bandwidth_bps is None:
             self.injection_bandwidth_bps = self.link_bandwidth_bps
-        if self.link_bandwidth_bps <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.packet_size_bytes <= 0:
-            raise ValueError("packet size must be positive")
+        for name in self._BANDWIDTHS:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name!r} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in self._DURATIONS:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name!r} must be finite and >= 0, got {getattr(self, name)!r}")
+        for name in self._COUNTS:
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name!r} must be >= 1, got {getattr(self, name)!r}")
+        if not 0 <= self.cfd_min_share <= 1:
+            raise ValueError(f"'cfd_min_share' must be in [0, 1], got {self.cfd_min_share!r}")
         if self.flow_control not in self._FLOW_CONTROLS:
             raise ValueError(
-                f"flow_control must be one of {self._FLOW_CONTROLS}, "
+                f"'flow_control' must be one of {self._FLOW_CONTROLS}, "
                 f"got {self.flow_control!r}"
             )
-        if self.virtual_channels < 1:
-            raise ValueError("virtual_channels must be >= 1")
         # Serialization-time memo: the hot path asks for the same handful
         # of sizes (packet, ACK, final fragment) millions of times.  Each
         # cached value is computed by the exact ``size * 8 / bandwidth``

@@ -33,8 +33,7 @@ from repro.network.packet import (
 )
 from repro.network.router import OutputPort, Router
 from repro.routing.base import RoutingPolicy
-from repro.sim.engine import ARGS, CANCELLED, FN, PRIORITY, SEQUENCE, TIME
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import ARGS, CANCELLED, FN, Simulator
 from repro.topology.base import Topology
 
 DESTINATION_BASED = "destination"
@@ -127,6 +126,7 @@ class Fabric:
         #: optional end-to-end recovery protocol
         #: (:class:`repro.faults.recovery.ReliableTransport`).
         self.transport = None
+        self._update_special()
         policy.attach(self)
         if recorder is not None:
             recorder.attach(self)
@@ -254,21 +254,31 @@ class Fabric:
     # ------------------------------------------------------------------
     # Per-router forwarding
     # ------------------------------------------------------------------
+    def _update_special(self) -> None:
+        """The one flag ``_arrive`` tests for every unusual hop mode; the
+        four link-fault methods, which alone write the link sets, call it."""
+        self._special = bool(
+            self._per_hop or self._vc is not None or self._onoff
+            or self.failed_links or self.degraded_links
+        )
+
     def _arrive(self, packet: Packet) -> None:
         sim = self.sim
         now = sim.now
-        if self.failed_links and not self._crossed_link_alive(packet):
-            # The link died while the packet was on the wire: a fault is
-            # not a routing decision, so packets already committed to the
-            # link are lost too (satellite of §3.3.2's dynamic fault model).
-            self._drop(packet, DROP_LINK_DOWN)
-            return
-        if self._per_hop and packet.kind == DATA:
-            self._arrive_adaptive(packet, now)
-            return
-        if self._vc is not None:
-            self._arrive_vc(packet, now)
-            return
+        special = self._special
+        if special:
+            if self.failed_links and not self._crossed_link_alive(packet):
+                # The link died while the packet was on the wire: a fault is
+                # not a routing decision, so packets already committed to the
+                # link are lost too (§3.3.2's dynamic fault model).
+                self._drop(packet, DROP_LINK_DOWN)
+                return
+            if self._per_hop and packet.kind == DATA:
+                self._arrive_adaptive(packet, now)
+                return
+            if self._vc is not None:
+                self._arrive_vc(packet, now)
+                return
         path = packet.path
         hop = packet.hop
         router = self.routers[path[hop]]
@@ -280,7 +290,7 @@ class Fabric:
             fn = self._deliver_next
         else:
             next_router = path[hop + 1]
-            if self.failed_links and not self.link_alive(path[hop], next_router):
+            if special and self.failed_links and not self.link_alive(path[hop], next_router):
                 # A failed link drops the packet: recovery is the routing
                 # policy's job (alternative paths avoid the fault; FR-DRB's
                 # watchdog notices the missing ACK) plus, when installed,
@@ -290,36 +300,20 @@ class Fabric:
             port = router.router_ports.get(next_router)
             if port is None:
                 port = router.port_to("router", next_router)
-            if self._onoff and self._stalled(router, port, packet, now):
+            if special and self._onoff and self._stalled(router, port, packet, now):
                 return
             depart = router.forward(packet, port, now)
             packet.hop = hop + 1
             time = depart + (
-                self._link_delay_s
-                if not self.degraded_links
-                else self.link_delay(path[hop], next_router)
+                self.link_delay(path[hop], next_router) if special else self._link_delay_s
             )
             fn = self._arrive_next
         # Simulator.schedule_at(time, fn, packet), inlined: this is the
-        # per-hop hot path.
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, clock already at {now!r}"
-            )
+        # per-hop hot path.  ``time >= now`` holds because NetworkConfig
+        # refuses negative delays.
         seq = sim._sequence
         sim._sequence = seq + 1
-        free = sim._free
-        if free:
-            event = free.pop()
-            event[TIME] = time
-            event[PRIORITY] = 0
-            event[SEQUENCE] = seq
-            event[FN] = fn
-            event[ARGS] = (packet,)
-            event[CANCELLED] = False
-        else:
-            event = [time, 0, seq, fn, (packet,), False]
-        heapq.heappush(sim._queue, event)
+        heapq.heappush(sim._queue, [time, 0, seq, fn, (packet,), False])
 
     def _crossed_link_alive(self, packet: Packet) -> bool:
         """Is the link this packet just traversed still up on arrival?"""
@@ -559,10 +553,12 @@ class Fabric:
         if b not in self.topology.router_neighbors(a):
             raise ValueError(f"routers {a} and {b} are not adjacent")
         self.failed_links.add(frozenset((a, b)))
+        self._update_special()
 
     def restore_link(self, a: int, b: int) -> None:
         """Bring a failed link back."""
         self.failed_links.discard(frozenset((a, b)))
+        self._update_special()
 
     def link_alive(self, a: int, b: int) -> bool:
         return frozenset((a, b)) not in self.failed_links
@@ -575,10 +571,12 @@ class Fabric:
         if extra_delay_s < 0:
             raise ValueError("extra_delay_s must be >= 0")
         self.degraded_links[frozenset((a, b))] = extra_delay_s
+        self._update_special()
 
     def restore_link_quality(self, a: int, b: int) -> None:
         """Clear a degradation set by :meth:`degrade_link`."""
         self.degraded_links.pop(frozenset((a, b)), None)
+        self._update_special()
 
     def link_delay(self, a: int, b: int) -> float:
         """Propagation delay of router link a<->b, degradation included."""

@@ -55,8 +55,7 @@ class OutputPort:
     #: per flow; only a read updates them (:meth:`Router._contending_flows`).
     cfd_seen: list = field(default_factory=list)
     cfd_shares: dict = field(default_factory=dict)
-    #: cumulative contention statistics.
-    total_wait_s: float = 0.0
+    #: cumulative traffic statistics.
     packets: int = 0
     bytes: int = 0
     #: count of packets that found the buffer logically full.
@@ -168,7 +167,6 @@ class Router:
 
         # --- account (inlined) ---
         packet.path_latency += wait
-        port.total_wait_s += wait
         port.packets += 1
         port.bytes += size
         self.total_wait_s += wait
@@ -216,7 +214,6 @@ class Router:
         """
         size = packet.size_bytes
         packet.path_latency += wait
-        port.total_wait_s += wait
         port.packets += 1
         port.bytes += size
         self.total_wait_s += wait

@@ -16,8 +16,8 @@ The instrumentation contract (docs/observability.md): every hot-layer
 emit sits behind a single ``if tracer is not None`` guard, events observe
 and never mutate, and with tracing disabled the ``repro.perf`` replay
 digests stay bit-identical.  Tracing *enabled* also keeps digests
-identical — observation rides the simulator observer list and schedules
-no events of its own.  ``tests/test_obs_instrument.py``
+identical — observation rides simulator observers and deadlines and
+schedules no events of its own.  ``tests/test_obs_instrument.py``
 (``TestNonPerturbation``) holds every policy's digests to both.
 """
 

@@ -3,12 +3,12 @@
 A :class:`MetricsRegistry` aggregates three primitive kinds plus
 *providers* (callables returning whole sub-dicts, e.g. a policy's
 ``stats()``), and can snapshot itself on a configurable **sim-time**
-cadence.  The cadence rides the simulator's observer list
-(:meth:`~repro.sim.engine.Simulator.add_observer`) instead of scheduling
-events of its own — so attaching a registry never changes the event
-digests: the event stream a traced and an untraced run execute is
-bit-identical (``tests/test_obs_instrument.py::TestNonPerturbation``
-asserts it).
+cadence.  The cadence is an engine deadline
+(:meth:`~repro.sim.engine.Simulator.add_deadline`), not events of its
+own — so attaching a registry never changes the event digests: the event
+stream a traced and an untraced run execute is bit-identical
+(``tests/test_obs_instrument.py::TestNonPerturbation`` asserts it), and
+the events between two snapshots pay nothing for the cadence.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from bisect import bisect_right
 from typing import Callable, Optional
 
 from repro.obs.tracer import TraceRecord
-from repro.sim.engine import TIME
 
 #: default latency-style histogram bucket bounds, in seconds.
 DEFAULT_BOUNDS = (
@@ -166,15 +165,14 @@ class MetricsRegistry:
             self.on_snapshot(snap)
         return snap
 
-    def attach(self, sim, cadence_s: float) -> Callable:
+    def attach(self, sim, cadence_s: float) -> None:
         """Snapshot every ``cadence_s`` sim-seconds, driven by the event
-        stream: an observer checks each executed event's time and fires
-        every due snapshot (stamped at its due time, so cadence timestamps
-        are stable regardless of event spacing).  Returns the observer so
-        callers can ``sim.remove_observer`` it.
+        stream: an engine deadline fires every due snapshot before the
+        first event at or past its due time (stamped at its due time, so
+        cadence timestamps are stable regardless of event spacing).
 
-        Deliberately *not* implemented with scheduled events: observers
-        leave the event queue — and therefore the replay digests —
+        Deliberately *not* implemented with scheduled events: a deadline
+        leaves the event queue — and therefore the replay digests —
         untouched.
         """
         if cadence_s <= 0:
@@ -182,13 +180,13 @@ class MetricsRegistry:
         self.cadence_s = cadence_s
         self._next_due = sim.now + cadence_s
 
-        def on_event(event) -> None:
-            t = event.entry[TIME]
+        def on_due(t: float) -> float:
             while t >= self._next_due:
                 self.snapshot(self._next_due)
                 self._next_due += cadence_s
+            return self._next_due
 
-        return sim.add_observer(on_event)
+        sim.add_deadline(self._next_due, on_due)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

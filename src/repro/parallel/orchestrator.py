@@ -214,7 +214,7 @@ def run_sweep(
     callables and cannot cross the pickle boundary, so only the inline
     backend (``workers <= 1``) publishes them; pooled sweeps stream
     progress events only.  Attaching a hook never changes cell results —
-    the registry rides the simulator observer list.  An inline sweep
+    the registry rides a simulator deadline.  An inline sweep
     cannot stop a running cell, so it raises ``ValueError`` on a timeout.
     """
     config = config or SweepConfig()

@@ -119,7 +119,7 @@ def execute_task(
     ``metrics_hook`` attaches a :class:`~repro.obs.metrics.MetricsRegistry`
     whose cadence snapshots are handed to the hook as they are taken —
     the live-telemetry egress ``repro.serve`` streams over SSE.  The
-    registry rides the simulator observer list, so the cell's digests
+    registry rides a simulator deadline, so the cell's digests
     stay bit-identical with or without it.  Hooks are callables, so they
     only exist on the inline backend (the pool cannot pickle them)."""
     runner = TASK_KINDS.get(task.kind)

@@ -19,18 +19,21 @@ Hot-path design (see docs/performance.md for the measured ledger):
   subclass because CPython 3.11 specialises ``x[i]`` and ``x[i] = v`` only
   for exact lists: on a subclass every subscript takes the generic path,
   several times slower, and the engine makes about 13 per event;
-* executed and cancelled-skipped events are recycled through a freelist, so
-  steady-state simulation allocates no event objects at all;
+* every schedule builds a fresh list, which the engine never touches
+  again once it has fired or been skipped;
 * :meth:`Simulator.run` hoists every loop-invariant lookup and re-reads only
   the state a callback can legitimately change (``_stopped``, the observer
   dispatch).
 
 Observation: any number of observers may watch event dispatch through
-:meth:`Simulator.add_observer` (the seeded-replay digests, the runtime
-invariant checker, and the :mod:`repro.obs` metrics cadence all ride this).
-Observers are called with an :class:`EventView` of each event just before
-its callback runs and must never mutate simulation state; with none
-installed the cost is a single ``is not None`` branch per event.
+:meth:`Simulator.add_observer` (the seeded-replay digests and the runtime
+invariant checker ride this).  Observers are called with an
+:class:`EventView` of each event just before its callback runs and must
+never mutate simulation state; with none installed the cost is a single
+``is not None`` branch per event.  A periodic reader (the :mod:`repro.obs`
+metrics cadence) is a deadline instead (:meth:`Simulator.add_deadline`):
+the run loop folds the earliest due time into the ``until`` bound it
+compares anyway, so the events between two due times pay nothing.
 
 Every optimization here is digest-gated: ``python -m repro.perf`` replays a
 seeded scenario suite and fails on any drift in the event-trace or metrics
@@ -47,15 +50,11 @@ from typing import Any, Callable, Optional
 TIME, PRIORITY, SEQUENCE, FN, ARGS, CANCELLED = range(6)
 
 #: A scheduled callback, ``[time, priority, sequence, fn, args, cancelled]``.
-#: The event :meth:`Simulator.schedule` returns may be passed to
-#: :meth:`Simulator.cancel` until it fires, from its own callback too.  Once
-#: it has fired the engine may reuse the list for an unrelated event, so a
-#: holder drops its reference then and never cancels it again.
+#: The event :meth:`Simulator.schedule` returns belongs to its holder: the
+#: engine never reuses it, so :meth:`Simulator.cancel` may be called on it
+#: at any time, before it fires, from its own callback, or after it has
+#: fired or been skipped (a no-op then).  A fired event never fires again.
 Event = list
-
-
-def _never(*_args: Any) -> None:  # pragma: no cover - must never fire
-    raise AssertionError("recycled event fired with a cleared callback")
 
 
 class SimulationError(RuntimeError):
@@ -100,12 +99,13 @@ class Simulator:
         self.now: float = start_time
         #: heap of events (each event list is its own heap key).
         self._queue: list[Event] = []
-        #: recycled events awaiting reuse; bounds allocation to the peak
-        #: number of simultaneously pending events.
-        self._free: list[Event] = []
         self._sequence: int = 0
         self._events_executed: int = 0
         self._stopped: bool = False
+        self._running: bool = False
+        #: ``[due, fn]`` pairs in registration order, and the earliest due.
+        self._deadlines: list[list] = []
+        self._due: float = math.inf
         # Observers called with each event just before its callback runs
         # (the clock has already advanced to the event's time).  The tuple
         # is replaced wholesale on add/remove, so a dispatch in progress
@@ -169,6 +169,29 @@ class Simulator:
         for fn in self._observers:
             fn(event)
 
+    def add_deadline(self, due: float, fn: Callable[[float], float]) -> None:
+        """Call ``fn(t)`` before the first executed event whose time ``t``
+        is ``>= due``; ``fn`` returns its next due time.
+
+        It runs once the event is popped and the clock is at ``t``, before
+        the observers and the callback; a cancelled event or one past
+        ``until`` triggers nothing.  Deadlines due together run in
+        registration order.  Like an observer, ``fn`` only observes.
+        Adding a deadline while :meth:`run` is running raises.
+        """
+        if self._running:
+            raise SimulationError("add_deadline() called while the simulator is running")
+        self._deadlines.append([due, fn])
+        self._due = min(self._due, due)
+
+    def _fire_deadlines(self, now: float) -> None:
+        due = math.inf
+        for deadline in self._deadlines:
+            if deadline[0] <= now:
+                deadline[0] = deadline[1](now)
+            due = min(due, deadline[0])
+        self._due = due
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -182,20 +205,9 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self.now + delay
         seq = self._sequence
         self._sequence = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event[TIME] = time
-            event[PRIORITY] = priority
-            event[SEQUENCE] = seq
-            event[FN] = fn
-            event[ARGS] = args
-            event[CANCELLED] = False
-        else:
-            event = [time, priority, seq, fn, args, False]
+        event = [self.now + delay, priority, seq, fn, args, False]
         heapq.heappush(self._queue, event)
         return event
 
@@ -213,26 +225,20 @@ class Simulator:
             )
         seq = self._sequence
         self._sequence = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event[TIME] = time
-            event[PRIORITY] = priority
-            event[SEQUENCE] = seq
-            event[FN] = fn
-            event[ARGS] = args
-            event[CANCELLED] = False
-        else:
-            event = [time, priority, seq, fn, args, False]
+        event = [time, priority, seq, fn, args, False]
         heapq.heappush(self._queue, event)
         return event
 
     def cancel(self, event: Event) -> None:
         """Mark ``event`` so the engine skips it when popped.
 
-        See :data:`Event` for how long a handle stays valid.
+        Drops its callback and arguments at once, so a cancelled event
+        that waits in the calendar holds no references; after the event
+        has fired this is a no-op (see :data:`Event`).
         """
         event[CANCELLED] = True
+        event[FN] = None
+        event[ARGS] = ()
 
     # ------------------------------------------------------------------
     # Execution
@@ -244,34 +250,41 @@ class Simulator:
         ``until`` (the clock is then advanced to ``until``), after
         ``max_events`` callbacks, or when :meth:`stop` is called from inside
         a callback.  Cancelled placeholders are skipped without counting
-        toward ``max_events``.  Returns the number of events executed by
-        this call.
+        toward ``max_events``.  Due deadlines run before the event that
+        reaches them (:meth:`add_deadline`).  Returns the number of events
+        executed by this call.
         """
         executed = 0
         self._stopped = False
         queue = self._queue
-        free = self._free
         pop = heapq.heappop
         view = self._view
-        # Hoist the per-iteration Optional checks: an infinite bound makes
-        # ``event_time > bound`` unreachable when no limit was given, and
-        # the ``self.now = until`` assignment under it then never runs.
-        bound = math.inf if until is None else until
+        # Hoist the per-iteration Optional checks.  One compare per event
+        # covers ``until`` and every deadline: ``bound`` is the earlier of
+        # ``until`` and the float just below the earliest due time.
+        stop_at = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
+        bound = min(stop_at, math.nextafter(self._due, -math.inf))
+        self._running = True
         try:
             while queue:
                 if self._stopped or executed >= limit:
                     break
                 if queue[0][TIME] > bound:
-                    self.now = until  # type: ignore[assignment]
-                    break
-                event = pop(queue)
-                if event[CANCELLED]:
-                    event[FN] = _never
-                    event[ARGS] = ()
-                    free.append(event)
-                    continue
-                self.now = event[TIME]
+                    if queue[0][TIME] > stop_at:
+                        self.now = until  # type: ignore[assignment]
+                        break
+                    event = pop(queue)
+                    if event[CANCELLED]:
+                        continue
+                    self.now = event[TIME]
+                    self._fire_deadlines(event[TIME])
+                    bound = min(stop_at, math.nextafter(self._due, -math.inf))
+                else:
+                    event = pop(queue)
+                    if event[CANCELLED]:
+                        continue
+                    self.now = event[TIME]
                 # The per-event fast path: one branch when nothing is
                 # observing.
                 hook = self._dispatch
@@ -280,17 +293,11 @@ class Simulator:
                     hook(view)
                 event[FN](*event[ARGS])
                 executed += 1
-                # Recycle only after the callback ran: a cancel() from
-                # inside the callback must stay a harmless no-op.  Clearing
-                # fn/args means a recycled event can never fire a stale
-                # callback, and releases its references promptly.
-                event[FN] = _never
-                event[ARGS] = ()
-                free.append(event)
             else:
                 if until is not None and self.now < until:
                     self.now = until
         finally:
+            self._running = False
             # Flushed once instead of per event; every reader of
             # ``events_executed`` observes the total after run() returns.
             self._events_executed += executed
@@ -345,10 +352,7 @@ class Simulator:
         discarded = 0
         queue = self._queue
         while queue and queue[0][CANCELLED]:
-            event = heapq.heappop(queue)
-            event[FN] = _never
-            event[ARGS] = ()
-            self._free.append(event)
+            heapq.heappop(queue)
             discarded += 1
         return discarded
 

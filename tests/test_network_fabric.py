@@ -129,3 +129,32 @@ def test_unknown_notification_mode_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         Fabric(Mesh2D(4), NetworkConfig(), DeterministicPolicy(), sim, notification="psychic")
+
+
+def test_link_faults_partway_through_a_run_reach_the_next_hop():
+    """``fail_link``/``restore_link`` (and the degrade pair) recompute the
+    flag the hop path tests for every unusual mode, so a fault set while
+    packets are in flight applies from their next hop on."""
+    fabric, sim, topo = make_fabric()
+    assert topo.minimal_route(0, 15)[:4] == (0, 1, 2, 3)
+    special, delivered = [], []
+    fabric.nodes[15].message_handler = lambda *args: delivered.append(args[-1])
+
+    def at(t, fn, *args):
+        sim.schedule_at(t, lambda: (fn(*args), special.append(fabric._special)))
+
+    fabric.send(0, 15, 1024)  # reaches router 2 at about 12.4 us
+    at(10e-6, fabric.fail_link, 2, 3)
+    at(30e-6, fabric.restore_link, 2, 3)
+    at(40e-6, fabric.send, 0, 15, 1024)
+    at(41e-6, fabric.degrade_link, 2, 3, 1e-6)
+    at(80e-6, fabric.restore_link_quality, 2, 3)
+    at(90e-6, fabric.send, 0, 15, 1024)
+    assert fabric._special is False
+    sim.run()
+    assert special == [True, False, False, True, False, False]
+    assert fabric.dropped_by_reason == {"link_down": 1}
+    # The packet sent at 40 us crossed the degraded link, the one sent at
+    # 90 us a restored one.
+    slow, fast = delivered[0] - 40e-6, delivered[1] - 90e-6
+    assert slow - fast == pytest.approx(1e-6)

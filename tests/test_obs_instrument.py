@@ -221,6 +221,16 @@ class TestFabricMetrics:
         ]
         assert delivered == sorted(delivered)
 
+    def test_cadence_registers_a_deadline_not_an_observer(self):
+        """Metrics alone put no per-event call on the run: the cadence
+        is one engine deadline and no observer."""
+        from repro.analysis.replay import replay_spec
+
+        scenario = build(replay_spec("pr-drb", 0), metrics=MetricsRegistry(),
+                         metrics_cadence_s=5e-5)
+        assert scenario.sim.observers == ()
+        assert len(scenario.sim._deadlines) == 1
+
     def test_solutions_missed_stays_out_of_policy_stats(self):
         """The digest freezes stats() keys; the obs-only miss counter must
         never leak into them (it would break every committed baseline)."""

@@ -52,7 +52,7 @@ class TestCadence:
         before = sim.pending
         for t in (0.4, 0.9, 2.3, 2.4, 5.05):
             sim.schedule(t, lambda: None)
-        assert sim.pending == before + 5  # observer added nothing
+        assert sim.pending == before + 5  # the cadence scheduled nothing
         sim.run()
         # Due times 1.0 and 2.0 fire on the event at t=2.3; 3,4,5 on t=5.05.
         assert [s["t"] for s in registry.snapshots] == [1.0, 2.0, 3.0, 4.0, 5.0]

@@ -202,31 +202,42 @@ def test_peek_time_empty_queue():
 
 
 # ----------------------------------------------------------------------
-# Event recycling (freelist) x cancellation
+# Event lifetime x cancellation
 # ----------------------------------------------------------------------
 
-def test_recycled_event_never_fires_stale_callback():
-    """A cancelled event's recycled object must carry nothing of its past
-    life: the next schedule() reusing it fires the *new* fn/args only."""
+def test_fired_event_never_fires_again():
+    """An event is a fresh list per schedule: once fired, nothing the
+    engine does later runs it again, and a new schedule is a new list."""
     sim = Simulator()
-    stale_calls = []
-    doomed = sim.schedule(1.0, stale_calls.append, "stale")
-    sim.cancel(doomed)
-    sim.run()  # recycles the cancelled event through the freelist
-    assert stale_calls == []
-
-    fresh_calls = []
-    reused = sim.schedule(1.0, fresh_calls.append, "fresh")
-    assert reused is doomed  # the same object, recycled
-    assert reused[CANCELLED] is False  # scheduling reset the flag
+    fired = []
+    first = sim.schedule(1.0, fired.append, "first")
     sim.run()
-    assert fresh_calls == ["fresh"]
-    assert stale_calls == []
+    second = sim.schedule(1.0, fired.append, "second")
+    assert second is not first
+    sim.run()
+    sim.schedule(1.0, fired.append, "third")
+    sim.run()
+    assert fired == ["first", "second", "third"]
 
 
-def test_recycled_event_cleared_between_lives():
-    """Between recycling and reuse the payload is wiped: a bug that fired
-    a freelisted event would hit the sentinel, not a stale callback."""
+def test_cancel_after_firing_is_a_no_op():
+    sim = Simulator()
+    fired = []
+    ev = sim.schedule(1.0, fired.append, "first")
+    sim.run()
+    sim.cancel(ev)
+    sim.cancel(ev)
+    later = sim.schedule(1.0, fired.append, "second")
+    assert sim.pending == 1
+    assert later[CANCELLED] is False
+    sim.run()
+    assert fired == ["first", "second"]
+    assert sim.events_executed == 2
+
+
+def test_cancelled_event_drops_its_args():
+    """A cancelled event waiting in the calendar holds no references to
+    its callback's arguments, and it never runs."""
     sim = Simulator()
     payload = {"leaked": False}
 
@@ -235,27 +246,16 @@ def test_recycled_event_cleared_between_lives():
 
     ev = sim.schedule(0.5, cb, payload)
     sim.cancel(ev)
+    assert ev[ARGS] == ()
+    assert ev[FN] is None
+    assert sim.pending == 1  # lazy: still queued as a placeholder
     sim.run()
     assert payload["leaked"] is False
-    assert ev[ARGS] == ()  # dropped promptly, no lingering reference
-    with pytest.raises(AssertionError):
-        ev[FN]()  # the sentinel refuses to run
-
-
-def test_executed_event_recycled_and_reused():
-    sim = Simulator()
-    order = []
-    first = sim.schedule(1.0, order.append, "first")
-    sim.run()
-    second = sim.schedule(1.0, order.append, "second")
-    assert second is first
-    sim.run()
-    assert order == ["first", "second"]
+    assert sim.events_executed == 0
 
 
 def test_cancel_from_own_callback_is_harmless():
-    """Recycling happens only after the callback returns, so an event
-    cancelling *itself* mid-callback corrupts nothing."""
+    """An event cancelling *itself* mid-callback corrupts nothing."""
     sim = Simulator()
     order = []
     holder = {}
@@ -268,7 +268,7 @@ def test_cancel_from_own_callback_is_harmless():
     sim.schedule(2.0, order.append, "after")
     sim.run()
     assert order == ["ran", "after"]
-    # The recycled object is reusable and starts un-cancelled.
+    # Later schedules start un-cancelled.
     again = sim.schedule(1.0, order.append, "again")
     assert again[CANCELLED] is False
     sim.run()
@@ -303,8 +303,8 @@ def test_step_skips_cancelled_without_counting():
 
 def test_cancel_after_execution_is_harmless_to_freelist_reuse():
     # The handle of an executed event, or of a cancelled placeholder run()
-    # already recycled, points at a freelisted entry; cancelling it (again)
-    # must not poison whichever event next recycles that entry.
+    # already skipped, belongs to its holder alone; cancelling it (again)
+    # must not touch any later event.
     for cancel_first in (False, True):
         sim = Simulator()
         fired = []
@@ -323,9 +323,9 @@ def test_peek_time_recycled_entries_are_reusable():
     a = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.cancel(a)
-    assert sim.peek_time() == 2.0  # compacts: `a`'s entry is freelisted
+    assert sim.peek_time() == 2.0  # compacts: `a`'s placeholder is gone
     fired = []
-    sim.schedule(0.5, fired.append, "fresh")  # reuses the freelist entry
+    sim.schedule(0.5, fired.append, "fresh")
     assert sim.peek_time() == 0.5
     sim.run()
     assert fired == ["fresh"]
@@ -394,3 +394,88 @@ def test_step_dispatches_observers():
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert seen == [1.0]
+
+
+# ----------------------------------------------------------------------
+# Deadlines (the metrics cadence)
+# ----------------------------------------------------------------------
+def cadence(sim, due, period, log, tag="d"):
+    """A deadline firing every ``period`` from ``due``, logging
+    ``(tag, due time, clock, pending)`` per due time it passes."""
+    state = {"due": due}
+
+    def fire(t):
+        assert sim.now == t
+        while t >= state["due"]:
+            log.append((tag, state["due"], t, sim.pending))
+            state["due"] += period
+        return state["due"]
+
+    sim.add_deadline(due, fire)
+
+
+def test_deadline_fires_before_the_first_event_at_or_past_its_due():
+    sim = Simulator()
+    fired, log = [], []
+    cadence(sim, 1.0, 1.0, log)
+    for t in (0.5, 1.0, 1.5, 3.2):
+        sim.schedule(t, lambda t=t: fired.append((t, len(log))))
+    sim.run()
+    # Due at 1.0 fires on the event at exactly 1.0, before its callback,
+    # with that event already popped; 2.0 and 3.0 both fire on t=3.2.
+    assert log == [("d", 1.0, 1.0, 2), ("d", 2.0, 3.2, 0), ("d", 3.0, 3.2, 0)]
+    assert fired == [(0.5, 0), (1.0, 1), (1.5, 1), (3.2, 3)]
+
+
+def test_deadline_at_the_until_boundary():
+    sim = Simulator()
+    log = []
+    cadence(sim, 2.0, 1.0, log)
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(2.5, lambda: None)
+    # The event at 2.0 is inside ``until`` (inclusive): it fires the due.
+    assert sim.run(until=2.0) == 1
+    assert log == [("d", 2.0, 2.0, 1)]
+    # An event past ``until`` fires nothing, even with a deadline due.
+    sim.schedule_at(3.5, lambda: None)
+    assert sim.run(until=3.2) == 1
+    assert sim.now == 3.2
+    assert log == [("d", 2.0, 2.0, 1)]
+    assert sim.step() is True
+    assert log == [("d", 2.0, 2.0, 1), ("d", 3.0, 3.5, 0)]
+
+
+def test_deadline_skips_a_cancelled_head():
+    sim = Simulator()
+    log = []
+    cadence(sim, 1.0, 1.0, log)
+    sim.cancel(sim.schedule(1.0, lambda: None))
+    sim.schedule(1.2, lambda: None)
+    sim.run()
+    assert log == [("d", 1.0, 1.2, 0)]
+
+
+def test_two_deadlines_fire_in_registration_order():
+    sim = Simulator()
+    log = []
+    cadence(sim, 1.0, 1.0, log, "a")
+    cadence(sim, 0.5, 0.5, log, "b")
+    for t in (0.7, 1.1, 1.6):
+        sim.schedule(t, lambda: None)
+    sim.run()
+    assert log == [
+        ("b", 0.5, 0.7, 2),
+        ("a", 1.0, 1.1, 1), ("b", 1.0, 1.1, 1),
+        ("b", 1.5, 1.6, 0),
+    ]
+
+
+def test_deadline_added_from_a_callback_is_refused():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: sim.add_deadline(2.0, lambda t: t + 1))
+    with pytest.raises(SimulationError, match="running"):
+        sim.run()
+    assert len(sim._deadlines) == 0
+    sim.add_deadline(2.0, lambda t: t + 1)  # between runs it is accepted
+    assert len(sim._deadlines) == 1
+
